@@ -7,12 +7,13 @@ semantics — and the validation errors — mirror NCCL's contracts: every
 rank must participate, and buffers must agree on shape and dtype.
 
 Byte accounting follows the standard ring-algorithm cost model (the one
-DeepSpeed/NCCL realize on a single node):
-
-* all-reduce moves ``2 * (n-1)/n * nbytes`` per rank (reduce-scatter
-  phase + all-gather phase);
-* reduce-scatter and all-gather each move ``(n-1)/n * nbytes`` per rank;
-* broadcast pipelines the buffer around the ring, ``(n-1)/n * nbytes``.
+DeepSpeed/NCCL realize on a single node): reduce-scatter and all-gather
+each move ``(n-1)/n * nbytes`` per rank.  Given a
+:class:`~repro.dist.topology.Topology`, the same payload is instead split
+across intra-node and inter-node link classes per
+:meth:`Topology.collective_bytes` — the arithmetic of every collective is
+the same either way, so a hierarchical run is bitwise-identical to the
+flat ring and only the accounting differs.
 
 At ``world_size == 1`` every collective is a local copy and moves zero
 bytes — which is why the stats are worth keeping: they expose exactly
@@ -27,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..util.errors import DistError
+from .topology import LINK_CLASSES, Topology
 
 __all__ = ["CommStats", "SimComm"]
 
@@ -56,23 +58,28 @@ class CommStats:
 class SimComm:
     """A simulated communicator over ``world_size`` in-process ranks.
 
-    This class doubles as the *backend interface*: any communicator the
-    engine can drive exposes these collectives plus ``backend``/
-    ``close()``.  The shared-memory process-pool backend
-    (:class:`~repro.dist.mpcomm.MpComm`) subclasses it and inherits the
-    collectives verbatim — over shared pages the sequential arithmetic
-    *is* the parallel implementation, which is what keeps the two
-    backends bitwise-identical and their byte accounting in lockstep.
+    With ``topology=None`` every collective is charged on the flat ring.
+    With a :class:`~repro.dist.topology.Topology` (whose capacity must
+    hold ``world_size`` ranks) each collective charges two suffixed ops,
+    ``"<op>/intra"`` and ``"<op>/inter"``, split per the 2D algebra in
+    :mod:`repro.dist.topology`; results are bitwise-identical either way.
     """
 
-    #: Which backend this communicator is (``"sim"`` or ``"mp"``);
-    #: :class:`~repro.dist.faults.ChaosComm` forwards it for wrapped comms.
-    backend = "sim"
-
-    def __init__(self, world_size: int) -> None:
+    def __init__(self, world_size: int, topology: Topology | None = None) -> None:
         if not isinstance(world_size, (int, np.integer)) or world_size < 1:
             raise DistError(f"world_size must be a positive integer, got {world_size!r}")
         self.world_size = int(world_size)
+        if topology is not None:
+            if not isinstance(topology, Topology):
+                raise DistError(
+                    f"topology must be a Topology, got {type(topology).__name__}"
+                )
+            if self.world_size > topology.world_size:
+                raise DistError(
+                    f"world_size {self.world_size} exceeds topology {topology.shape} "
+                    f"capacity {topology.world_size}"
+                )
+        self.topology = topology
         self.stats = CommStats()
 
     # -- validation ---------------------------------------------------------
@@ -95,24 +102,24 @@ class SimComm:
                 )
         return bufs
 
-    def _ring_fraction(self) -> float:
-        return (self.world_size - 1) / self.world_size
-
     def _charge_collective(self, op: str, nbytes: float) -> None:
         """Charge one collective over ``nbytes`` of raw payload.
 
         ``nbytes`` is the *logical* buffer size (the full gradient /
         gathered tensor), not the wire traffic: this hook applies the
-        cost model.  The flat-ring base implementation charges
-        ``(n-1)/n * nbytes`` (doubled for all-reduce, which is a
-        reduce-scatter phase plus an all-gather phase).  The
-        topology-aware subclasses (:class:`~repro.dist.topology.HierComm`)
-        override it to split the same payload across intra-node and
-        inter-node link classes — the *arithmetic* of every collective is
-        shared and stays bitwise-identical; only this accounting differs.
+        cost model.  The flat ring charges ``(n-1)/n * nbytes`` under
+        ``op``.  With a topology, both link classes are always charged
+        (possibly 0.0 bytes) so per-class call counts stay
+        one-per-collective and downstream pricing
+        (:class:`~repro.dist.faults.ChaosComm`) can key purely off the
+        op suffix.
         """
-        multiplier = 2.0 if op == "all_reduce" else 1.0
-        self.stats.charge(op, multiplier * self._ring_fraction() * nbytes)
+        if self.topology is None:
+            self.stats.charge(op, (self.world_size - 1) / self.world_size * nbytes)
+            return
+        split = self.topology.collective_bytes(op, nbytes, self.world_size)
+        for link_class in LINK_CLASSES:
+            self.stats.charge(f"{op}/{link_class}", split[link_class])
 
     def _mean(self, bufs: list[np.ndarray]) -> np.ndarray:
         """Element-wise mean at O(numel) peak memory.
@@ -131,12 +138,6 @@ class SimComm:
         return acc
 
     # -- collectives --------------------------------------------------------
-
-    def all_reduce_mean(self, buffers: Sequence[np.ndarray]) -> np.ndarray:
-        """Element-wise mean over all ranks' buffers; every rank gets it."""
-        bufs = self._check_buffers(buffers, "all_reduce")
-        self._charge_collective("all_reduce", bufs[0].nbytes)
-        return self._mean(bufs)
 
     def reduce_scatter_mean(self, buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Mean over ranks, then rank ``r`` receives the ``r``-th slice.
@@ -233,26 +234,9 @@ class SimComm:
                 np.copyto(dest, buf)
         return out
 
-    def close(self) -> None:
-        """Release backend resources (no-op for the in-process backend).
-
-        Part of the backend interface: trainers call it unconditionally
-        when a run ends, and the process-pool backend overrides it to
-        stop workers and unlink shared-memory segments.
-        """
-
-    def broadcast(self, buffer: np.ndarray, root: int = 0) -> list[np.ndarray]:
-        """Every rank receives an independent copy of ``root``'s buffer."""
-        if not 0 <= root < self.world_size:
-            raise DistError(
-                f"broadcast: root {root} out of range for world_size {self.world_size}"
-            )
-        src = np.asarray(buffer)
-        self._charge_collective("broadcast", src.nbytes)
-        return [src.copy() for _ in range(self.world_size)]
-
     def __repr__(self) -> str:
+        shape = "" if self.topology is None else f", topology={self.topology.shape}"
         return (
-            f"SimComm(world_size={self.world_size}, "
+            f"SimComm(world_size={self.world_size}{shape}, "
             f"total_bytes={self.stats.total_bytes():.0f})"
         )

@@ -796,12 +796,10 @@ class ChaosComm:
         self.plan = plan
         self.clock = clock
         self.link_bandwidth = float(link_bandwidth)
-        # A hierarchical communicator carries its Topology; adopt it so
-        # per-link-class charges are priced at that class's bandwidth
-        # and only penalized by faults on links of the same class.
-        self.topology = topology if topology is not None else getattr(
-            comm, "topology", None
-        )
+        # A communicator with a Topology charges per link class; adopt it
+        # so each class is priced at its bandwidth and only penalized by
+        # faults on links of the same class.
+        self.topology = topology if topology is not None else comm.topology
         self.current_step = 1
         comm.stats = ChaosCommStats(self._collective_seconds)
 

@@ -1,22 +1,22 @@
-"""Cluster topology: hierarchical process groups behind the ``SimComm`` interface.
+"""Cluster topology: hierarchical process groups for ``SimComm`` accounting.
 
 Real fleets are not flat rings: ranks within one node talk over fast
 links (NVLink / shared memory, hundreds of GB/s) while nodes talk over a
 much slower fabric (tens of GB/s).  :class:`Topology` describes such a
 cluster as ``nodes x ranks_per_node`` with one bandwidth per **link
 class** (``"intra"`` within a node, ``"inter"`` between nodes), and
-:class:`HierComm` runs every collective as a 2D hierarchical schedule
-over it — node-local reduce-scatter, cross-node all-reduce over one
-leader rank per node, node-local all-gather.
+``SimComm(world_size, topology=topo)`` charges every collective as a 2D
+hierarchical schedule over it — node-local reduce-scatter, cross-node
+all-reduce over one leader rank per node, node-local all-gather.
 
 Two invariants anchor the design, both pinned by ``tests/test_topology.py``:
 
-* **Bitwise identity.**  The *arithmetic* of every collective is
-  inherited verbatim from :class:`~repro.dist.comm.SimComm` — same mean,
-  same left-to-right accumulation order — so a hierarchical run produces
-  bit-for-bit the same masters, moments, and bf16 weights as the flat
-  ring (the same contract ``AdamW(fused=True)`` and the mp backend
-  honour).  The hierarchy lives entirely in the *cost model*, exactly
+* **Bitwise identity.**  The *arithmetic* of every collective is the
+  same :class:`~repro.dist.comm.SimComm` code with or without a
+  topology — same mean, same left-to-right accumulation order — so a
+  hierarchical run produces bit-for-bit the same masters, moments, and
+  bf16 weights as the flat ring (the same contract ``AdamW(fused=True)``
+  honours).  The hierarchy lives entirely in the *cost model*, exactly
   like the flat ring-algorithm accounting is itself a model over
   sequential in-process arithmetic.
 * **Closed-form accounting.**  Each collective charges two suffixed ops,
@@ -38,14 +38,11 @@ The 2D collective algebra, for payload ``B`` at world size ``ws`` with
 ``R = r_max`` and ``N = occupied nodes`` (``f_i = (R-1)/R``,
 ``f_n = (N-1)/N`` are the usual ring fractions):
 
-* ``all_reduce``:     intra ``2 * f_i * B``, inter ``2 * f_n * B / R``
-  (node-local reduce-scatter + all-gather touch the full payload; the
-  cross-node phase runs over leaders on the ``1/R`` slice each leader owns);
-* ``reduce_scatter``: intra ``f_i * B``,     inter ``f_n * B / R``;
-* ``all_gather``:     intra ``f_i * B``,     inter ``f_n * B / R``
-  (``B`` is the total gathered payload, as in the flat model);
-* ``broadcast``:      intra ``f_i * B``,     inter ``f_n * B``
-  (leaders relay the full buffer across nodes, then fan out locally).
+* ``reduce_scatter``: intra ``f_i * B``, inter ``f_n * B / R``
+  (the node-local phase touches the full payload; the cross-node phase
+  runs over leaders on the ``1/R`` slice each leader owns);
+* ``all_gather``:     intra ``f_i * B``, inter ``f_n * B / R``
+  (``B`` is the total gathered payload, as in the flat model).
 
 Serialization is dependency-free YAML via :mod:`repro.util.miniyaml`
 (``llmtailor train --topology cluster.yaml``).
@@ -59,12 +56,10 @@ from typing import Any
 
 from ..util.errors import DistError
 from ..util.miniyaml import dump_file, load_file
-from .comm import SimComm
 
 __all__ = [
     "DEFAULT_INTER_BANDWIDTH",
     "DEFAULT_INTRA_BANDWIDTH",
-    "HierComm",
     "LINK_CLASSES",
     "Topology",
 ]
@@ -223,18 +218,11 @@ class Topology:
         intra_frac = (per_group - 1) / per_group
         inter_frac = (occupied - 1) / occupied
         payload = float(nbytes)
-        if op == "all_reduce":
-            return {
-                "intra": 2.0 * intra_frac * payload,
-                "inter": 2.0 * inter_frac * payload / per_group,
-            }
         if op in ("reduce_scatter", "all_gather"):
             return {
                 "intra": intra_frac * payload,
                 "inter": inter_frac * payload / per_group,
             }
-        if op == "broadcast":
-            return {"intra": intra_frac * payload, "inter": inter_frac * payload}
         raise DistError(f"topology: unknown collective op {op!r}")
 
     # -- serialization ------------------------------------------------------
@@ -290,63 +278,4 @@ class Topology:
             f"{self.shape} ({self.world_size} ranks; "
             f"intra {self.intra_bandwidth / 1e9:.0f} GB/s, "
             f"inter {self.inter_bandwidth / 1e9:.0f} GB/s)"
-        )
-
-
-class _HierAccounting:
-    """Mixin overriding the charge hook with per-link-class accounting.
-
-    Mixed in before a concrete communicator class (:class:`HierComm`,
-    :class:`~repro.dist.mpcomm.HierMpComm`); the host class must set
-    ``self.topology`` via :meth:`_bind_topology` after its own
-    ``__init__`` established ``world_size``.
-    """
-
-    topology: Topology
-
-    def _bind_topology(self, topology: Topology) -> None:
-        """Validate and attach the topology (world size must fit capacity)."""
-        if not isinstance(topology, Topology):
-            raise DistError(
-                f"topology must be a Topology, got {type(topology).__name__}"
-            )
-        if self.world_size > topology.world_size:
-            raise DistError(
-                f"world_size {self.world_size} exceeds topology {topology.shape} "
-                f"capacity {topology.world_size}"
-            )
-        self.topology = topology
-
-    def _charge_collective(self, op: str, nbytes: float) -> None:
-        """Charge ``<op>/intra`` and ``<op>/inter`` per the 2D cost model.
-
-        Both link classes are always charged (possibly 0.0 bytes) so
-        per-class call counts stay one-per-collective and downstream
-        pricing (:class:`~repro.dist.faults.ChaosComm`) can key purely
-        off the op suffix.
-        """
-        split = self.topology.collective_bytes(op, nbytes, self.world_size)
-        for link_class in LINK_CLASSES:
-            self.stats.charge(f"{op}/{link_class}", split[link_class])
-
-
-class HierComm(_HierAccounting, SimComm):
-    """Topology-aware :class:`~repro.dist.comm.SimComm`.
-
-    Inherits every collective's arithmetic verbatim (bitwise-identical
-    results to the flat ring at any world size) and replaces only the
-    byte accounting with the hierarchical per-link-class model — see the
-    module docstring for the algebra and the identity argument.
-    """
-
-    backend = "sim"
-
-    def __init__(self, world_size: int, topology: Topology) -> None:
-        super().__init__(world_size)
-        self._bind_topology(topology)
-
-    def __repr__(self) -> str:
-        return (
-            f"HierComm(world_size={self.world_size}, topology={self.topology.shape}, "
-            f"total_bytes={self.stats.total_bytes():.0f})"
         )

@@ -44,17 +44,6 @@ Shard payload (``SHARD_FORMAT_VERSION``)::
 integrity that weight tensors get from the tensor-file format — which
 is what lets a selective reader verify exactly the groups it
 materializes without decoding the whole monolithic blob.
-
-With ``comm_backend="mp"`` the same fused layout is carved out of a
-named shared-memory arena (:class:`~repro.dist.mpcomm.SharedArena`)
-instead of private heap: masters, gradient staging, both moment buffers
-and the storage-precision parameter storage all become views into one
-segment, model parameters are re-pointed into it, and the per-rank
-AdamW + re-quantize work runs inside long-lived forked worker processes
-(:class:`~repro.dist.mpcomm.MpComm`).  The collectives, their byte
-accounting, and every checkpoint path stay the sequential code — the
-backends are bitwise-identical by construction and pinned so by
-``tests/test_mpcomm.py``.
 """
 
 from __future__ import annotations
@@ -130,7 +119,6 @@ class ZeroStage3Engine:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         fused: bool = True,
-        comm_backend: str = "sim",
         topology=None,
     ) -> None:
         groups = list(groups)
@@ -143,39 +131,9 @@ class ZeroStage3Engine:
             )
         self.model = model
         self.config = config
-        self.comm_backend = str(comm_backend)
-        # _mp keeps the unwrapped pool handle: the trainer may later wrap
-        # self.comm in a ChaosComm, but worker management (dispatch, rank
-        # kills, shutdown) must bypass the fault-pricing layer.
-        self._mp = None
-        # With a topology the hierarchical communicator variants swap in;
-        # they inherit the flat collectives' arithmetic verbatim, so the
-        # choice only changes byte accounting, never results.
-        self.topology = topology
-        if self.comm_backend == "mp":
-            if not fused:
-                raise ConfigError(
-                    "comm_backend='mp' requires fused=True: the process-pool "
-                    "backend shares the fused engine's persistent buffers"
-                )
-            from .mpcomm import HierMpComm, MpComm
-
-            if topology is None:
-                self.comm: SimComm = MpComm(world_size)  # validates world_size
-            else:
-                self.comm = HierMpComm(world_size, topology)
-            self._mp = self.comm
-        elif self.comm_backend == "sim":
-            if topology is None:
-                self.comm = SimComm(world_size)  # validates world_size
-            else:
-                from .topology import HierComm
-
-                self.comm = HierComm(world_size, topology)
-        else:
-            raise ConfigError(
-                f"unknown comm_backend {comm_backend!r} (expected 'sim' or 'mp')"
-            )
+        # A topology only changes the communicator's byte accounting
+        # (flat ring vs per-link-class split), never results.
+        self.comm = SimComm(world_size, topology=topology)  # validates world_size
         self.world_size = self.comm.world_size
         self._dtype: DType = config.storage_dtype
         self.fused = bool(fused)
@@ -225,24 +183,6 @@ class ZeroStage3Engine:
             master_flats.append(flatten_arrays([p.data for p in params]))
         self.group_meta: tuple[GroupMeta, ...] = tuple(metas)
 
-        # mp backend: one named shared arena holds every buffer a worker
-        # touches — masters, grad staging, both moment buffers, and the
-        # storage-precision parameter storage (model parameters are
-        # re-pointed into it below, so forward passes anywhere read the
-        # weights the workers just re-quantized).  Sized exactly, carved
-        # before the workers fork.
-        self._param_flats: list[np.ndarray] = []
-        self._moment_bufs: list[tuple[np.ndarray, np.ndarray]] = []
-        arena = None
-        if self._mp is not None:
-            from .mpcomm import SharedArena
-
-            total = 0
-            for meta in self.group_meta:
-                padded = (meta.partition.padded_numel,)
-                total += 4 * SharedArena.aligned_nbytes(padded)
-                total += SharedArena.aligned_nbytes((meta.numel,))
-            arena = self._mp.create_arena(max(total, 64), tag="engine")
         for g, meta in enumerate(self.group_meta):
             partition = meta.partition
             if not self.fused:
@@ -250,28 +190,9 @@ class ZeroStage3Engine:
                     [Tensor(shard) for shard in partition.shards(master_flats[g])]
                 )
                 continue
-            if arena is not None:
-                master_buf = arena.alloc((partition.padded_numel,))
-                partition.pad(master_flats[g], out=master_buf)
-                grad_buf = arena.alloc((partition.padded_numel,))
-                flat = arena.alloc((meta.numel,))
-                offset = 0
-                for p in self._params[g]:
-                    n = p.data.size
-                    p.data = flat[offset : offset + n].reshape(p.data.shape)
-                    offset += n
-                self._param_flats.append(flat)
-                self._moment_bufs.append(
-                    (
-                        arena.alloc((partition.padded_numel,)),
-                        arena.alloc((partition.padded_numel,)),
-                    )
-                )
-            else:
-                master_buf = partition.pad(master_flats[g])
-                grad_buf = np.zeros(partition.padded_numel, dtype=np.float32)
+            master_buf = partition.pad(master_flats[g])
             self._master_bufs.append(master_buf)
-            self._grad_bufs.append(grad_buf)
+            self._grad_bufs.append(np.zeros(partition.padded_numel, dtype=np.float32))
             self._shard_params.append(
                 [Tensor(view) for view in partition.shard_views(master_buf)]
             )
@@ -301,23 +222,6 @@ class ZeroStage3Engine:
 
         # Schedulers drive rank 0; engine.step() mirrors its LR everywhere.
         self.reference_optimizer: AdamW = self.optimizers[0]
-
-        # mp backend: pre-seed every rank's optimizer state with views
-        # into the shared moment buffers.  AdamW's fused update writes
-        # moments strictly in place (``out=``), so worker updates land in
-        # shared memory where the parent's checkpoint saves read them.
-        # Pre-seeded zeros are bitwise-identical to the lazy zero init.
-        if self._mp is not None:
-            for g, meta in enumerate(self.group_meta):
-                exp_avg, exp_avg_sq = self._moment_bufs[g]
-                for rank in range(self.world_size):
-                    lo, hi = meta.partition.bounds(rank)
-                    param = self._shard_params[g][rank]
-                    self.optimizers[rank].state[id(param)] = {
-                        "step": 0,
-                        "exp_avg": exp_avg[lo:hi],
-                        "exp_avg_sq": exp_avg_sq[lo:hi],
-                    }
 
         # Model weights are the storage-precision image of the masters.
         for g in range(len(self.group_meta)):
@@ -444,11 +348,8 @@ class ZeroStage3Engine:
                 self._shard_params[g][rank].grad = shard
             stepped.append(g)
 
-        if self._mp is not None:
-            self._mp_step(stepped)
-        else:
-            for opt in self.optimizers:
-                opt.step()
+        for opt in self.optimizers:
+            opt.step()
 
         # Consume the shard gradients: a group skipped on the *next* step
         # must not be re-updated with this step's stale gradient.
@@ -457,102 +358,7 @@ class ZeroStage3Engine:
                 t.grad = None
 
         for g in stepped:
-            if self._mp is not None:
-                # The workers already updated the masters and re-quantized
-                # the weights in shared memory; the gather moves no data
-                # (shards are views) — only the ring-model bytes are
-                # charged, matching the sequential call sequence exactly.
-                self.comm.all_gather_into(
-                    [t.data for t in self._shard_params[g]], self._master_bufs[g]
-                )
-            else:
-                self._materialize_group(g, via_comm=True)
-
-    # -- mp worker pool ----------------------------------------------------
-
-    def _hyper_payload(self) -> list[dict[str, Any]]:
-        """Per-group hyperparameters from the scheduler-driven reference."""
-        return [
-            {
-                "lr": float(group["lr"]),
-                "betas": tuple(float(b) for b in group["betas"]),
-                "eps": float(group["eps"]),
-                "weight_decay": float(group["weight_decay"]),
-            }
-            for group in self.reference_optimizer.param_groups
-        ]
-
-    def start_workers(self, program_factory=None) -> None:
-        """Fork the rank workers (mp backend; no-op otherwise).
-
-        ``program_factory(rank, barrier)`` builds the worker-side command
-        object; the default serves the engine-level commands
-        (``optim_step``/``sync_state``), and the trainer passes an
-        extended program that adds the forward/backward command.  Called
-        lazily by :meth:`step`, so engines that only ever load or save
-        never pay for a pool.
-        """
-        if self._mp is None or self._mp.started:
-            return
-        if program_factory is None:
-            engine = self
-
-            def program_factory(rank, barrier):
-                return _EngineRankProgram(engine, rank, barrier)
-
-        self._mp.start(program_factory)
-
-    def _mp_step(self, stepped: list[int]) -> None:
-        """Dispatch the optimizer/re-quantize phase to the rank workers.
-
-        The parent mirrors the ``step`` counters afterwards so its own
-        optimizer state (which checkpoint saves read) tracks the workers'
-        — moments and masters need no mirroring, they live in shared
-        memory.
-        """
-        self.start_workers()
-        if not stepped:
-            return
-        self._mp.dispatch("optim_step", list(stepped), self._hyper_payload())
-        for rank in range(self.world_size):
-            opt = self.optimizers[rank]
-            for g in stepped:
-                opt.state[id(self._shard_params[g][rank])]["step"] += 1
-
-    def _sync_mp_state(self) -> None:
-        """Push restored step counters/hyperparams to running workers."""
-        if self._mp is None or not self._mp.started:
-            return
-        steps = [
-            [
-                int(self.optimizers[r].state[id(self._shard_params[g][r])]["step"])
-                for g in range(len(self.group_meta))
-            ]
-            for r in range(self.world_size)
-        ]
-        self._mp.dispatch("sync_state", steps, self._hyper_payload())
-
-    def terminate_rank(self, rank: int) -> None:
-        """Map a simulated rank death onto the backend.
-
-        With the mp backend the rank's worker process is terminated
-        (SIGTERM); the sequential backend has no per-rank resources, so
-        this is a no-op there.  The elastic shrink that follows builds a
-        fresh engine at N-1 — a dead rank is never limped around.
-        """
-        if self._mp is not None and self._mp.started:
-            self._mp.kill_rank(rank)
-
-    def close(self) -> None:
-        """Release backend resources (workers + shared segments).
-
-        Idempotent, and safe to call while results are still being read:
-        parent-side arrays stay mapped, so checkpoint saves and state
-        inspection keep working after close — only the worker pool and
-        the ``/dev/shm`` names are gone.
-        """
-        if self._mp is not None:
-            self._mp.close()
+            self._materialize_group(g, via_comm=True)
 
     # -- state access ------------------------------------------------------
 
@@ -803,16 +609,7 @@ class ZeroStage3Engine:
             fp32, restored = staged[g]
             param = self._shard_params[g][rank]
             param.data[...] = fp32
-            if self._mp is None:
-                opt.state[id(param)] = restored
-            else:
-                # The pre-seeded entry's moments are views into the shared
-                # arena; copy *into* them (never replace) so running — or
-                # future — workers keep seeing the restored state.
-                entry = opt.state[id(param)]
-                entry["step"] = restored["step"]
-                entry["exp_avg"][...] = restored["exp_avg"]
-                entry["exp_avg_sq"][...] = restored["exp_avg_sq"]
+            opt.state[id(param)] = restored
 
             hyper = hyper_by_index.get(g)
             if hyper:
@@ -829,73 +626,8 @@ class ZeroStage3Engine:
             if materialize:
                 self._materialize_group(g)
 
-        # Step counters are worker-local ints (unlike the shared-memory
-        # moments), so a load into a live pool must be pushed explicitly.
-        self._sync_mp_state()
-
     def __repr__(self) -> str:
         return (
             f"ZeroStage3Engine(model={self.config.name!r}, "
             f"world_size={self.world_size}, groups={len(self.group_meta)})"
         )
-
-
-class _EngineRankProgram:
-    """Worker-side command set for one rank of an mp-backed engine.
-
-    Instantiated *inside* the forked worker, closing over the engine the
-    child inherited — object identities (``id(param)`` state keys,
-    buffer views) are the parent's, and every array the commands touch
-    lives in the shared arena, so results land where the parent (and the
-    other workers) read them.
-    """
-
-    def __init__(self, engine: ZeroStage3Engine, rank: int, barrier) -> None:
-        self.engine = engine
-        self.rank = rank
-        self.barrier = barrier
-
-    def _apply_hypers(self, hypers: list[dict[str, Any]]) -> None:
-        opt = self.engine.optimizers[self.rank]
-        for group, hp in zip(opt.param_groups, hypers):
-            group["lr"] = hp["lr"]
-            group["betas"] = tuple(hp["betas"])
-            group["eps"] = hp["eps"]
-            group["weight_decay"] = hp["weight_decay"]
-
-    def optim_step(self, stepped: list[int], hypers: list[dict[str, Any]]) -> None:
-        """One rank's AdamW over the reduced shard grads, then re-quantize.
-
-        Reads only this rank's shard slice of each stepped group's
-        staging buffer (written by the parent — or the fold phase of the
-        trainer program — before this command was dispatched, so pipe
-        ordering is the only synchronization needed), updates the
-        rank's master/moment shards in place, and re-quantizes its
-        ``master_bounds`` chunk of the storage-precision weights.
-        Chunked re-quantize is elementwise, hence bitwise-identical to
-        the sequential single-pass quantize.
-        """
-        eng, rank = self.engine, self.rank
-        self._apply_hypers(hypers)
-        opt = eng.optimizers[rank]
-        for g in stepped:
-            lo, hi = eng.group_meta[g].partition.bounds(rank)
-            eng._shard_params[g][rank].grad = eng._grad_bufs[g][lo:hi]
-        opt.step()
-        for g in stepped:
-            eng._shard_params[g][rank].grad = None
-            mlo, mhi = eng.group_meta[g].partition.master_bounds(rank)
-            if mhi > mlo:
-                quantize(
-                    eng._master_bufs[g][mlo:mhi],
-                    eng._dtype,
-                    out=eng._param_flats[g][mlo:mhi],
-                )
-
-    def sync_state(self, steps: list[list[int]], hypers: list[dict[str, Any]]) -> None:
-        """Adopt restored step counters/hyperparams after a parent-side load."""
-        eng, rank = self.engine, self.rank
-        self._apply_hypers(hypers)
-        opt = eng.optimizers[rank]
-        for g, step in enumerate(steps[rank]):
-            opt.state[id(eng._shard_params[g][rank])]["step"] = int(step)

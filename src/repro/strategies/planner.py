@@ -122,7 +122,7 @@ class StepTrafficPlan:
     #: Topology shape (e.g. ``"2x4"``) for a hierarchical plan, else None.
     topology: str | None = None
     #: ``{op: {"intra": bytes, "inter": bytes}}`` under a topology — the
-    #: analytic twin of HierComm's ``<op>/<link_class>`` charges; the
+    #: analytic twin of SimComm's ``<op>/<link_class>`` charges; the
     #: headline per-op fields above are then the class sums.
     link_bytes: dict | None = None
 
@@ -174,7 +174,7 @@ def plan_step_traffic(
     With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
     same payload is split per link class through
     :meth:`~repro.dist.topology.Topology.collective_bytes` — the exact
-    formulas :class:`~repro.dist.topology.HierComm` charges live — and
+    formulas :class:`~repro.dist.comm.SimComm` charges live — and
     the per-op fields become class sums (``link_bytes`` carries the
     breakdown).
     """

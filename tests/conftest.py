@@ -2,55 +2,20 @@
 
 Heavy artifacts (trained models with checkpoint trails) are built once
 per session and reused read-only across tests.
-
-The suite honors ``REPRO_COMM_BACKEND=mp`` (CI's ``tests-mp`` leg):
-every trainer built from a default ``comm_backend="auto"`` config then
-runs its ranks in forked shared-memory workers.  The session-finish
-hook asserts workers actually spawned, so that leg can never silently
-fall back to the sequential backend.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.groups import tailored_param_groups
-from repro.dist import ZeroStage3Engine, mp_available, mp_unavailable_reason
+from repro.dist import ZeroStage3Engine
 from repro.io import Storage, save_checkpoint
 from repro.nn import build_model, get_config
 from repro.train import TrainConfig, Trainer
-
-_MP_ENV = os.environ.get("REPRO_COMM_BACKEND", "") == "mp"
-
-
-def pytest_collection_modifyitems(config, items):
-    # An mp-gated session on a platform without fork/shared_memory skips
-    # everything up front (clean skip, not a silent sequential run).
-    if _MP_ENV and not mp_available():
-        marker = pytest.mark.skip(
-            reason=f"REPRO_COMM_BACKEND=mp but {mp_unavailable_reason()}"
-        )
-        for item in items:
-            item.add_marker(marker)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _MP_ENV or not mp_available() or exitstatus != 0:
-        return
-    if session.testscollected < 50:
-        return  # a hand-picked subset may legitimately never build a trainer
-    from repro.dist import mpcomm
-
-    if mpcomm.WORKERS_SPAWNED == 0:
-        session.exitstatus = 1
-        raise pytest.UsageError(
-            "REPRO_COMM_BACKEND=mp was set but no worker process was ever "
-            "forked — the mp leg silently ran the sequential backend"
-        )
 
 
 @pytest.fixture

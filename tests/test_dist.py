@@ -16,11 +16,6 @@ from conftest import make_engine, train_steps
 
 
 class TestSimComm:
-    def test_all_reduce_mean(self):
-        comm = SimComm(3)
-        bufs = [np.full(4, float(i)) for i in range(3)]
-        np.testing.assert_allclose(comm.all_reduce_mean(bufs), np.full(4, 1.0))
-
     def test_reduce_scatter_slices(self):
         comm = SimComm(2)
         bufs = [np.arange(8.0), np.arange(8.0) + 2]
@@ -33,21 +28,13 @@ class TestSimComm:
         out = comm.all_gather([np.zeros(3), np.ones(3)])
         np.testing.assert_array_equal(out, [0, 0, 0, 1, 1, 1])
 
-    def test_broadcast_copies(self):
-        comm = SimComm(3)
-        src = np.arange(4.0)
-        out = comm.broadcast(src, root=0)
-        assert len(out) == 3
-        out[1][0] = 99
-        assert src[0] == 0  # copies, not views
-
     def test_byte_accounting_ring_model(self):
         comm = SimComm(4)
         buf = np.zeros(128, dtype=np.float32)  # 512 bytes
-        comm.all_reduce_mean([buf] * 4)
-        assert comm.stats.bytes_by_op["all_reduce"] == pytest.approx(2 * 0.75 * 512)
         comm.reduce_scatter_mean([buf] * 4)
         assert comm.stats.bytes_by_op["reduce_scatter"] == pytest.approx(0.75 * 512)
+        comm.all_gather([buf] * 4)  # 4 x 512 gathered bytes
+        assert comm.stats.bytes_by_op["all_gather"] == pytest.approx(0.75 * 2048)
 
     def test_single_rank_moves_zero_ring_bytes(self):
         comm = SimComm(1)
@@ -57,13 +44,11 @@ class TestSimComm:
     def test_shape_and_count_validation(self):
         comm = SimComm(2)
         with pytest.raises(DistError):
-            comm.all_reduce_mean([np.zeros(2)])
+            comm.all_gather([np.zeros(2)])
         with pytest.raises(DistError):
-            comm.all_reduce_mean([np.zeros(2), np.zeros(3)])
+            comm.all_gather([np.zeros(2), np.zeros(3)])
         with pytest.raises(DistError):
             comm.reduce_scatter_mean([np.zeros(3), np.zeros(3)])  # not divisible
-        with pytest.raises(DistError):
-            comm.broadcast(np.zeros(1), root=5)
         with pytest.raises(DistError):
             SimComm(0)
 

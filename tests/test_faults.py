@@ -212,9 +212,9 @@ class TestChaosComm:
         plain = SimComm(4)
         chaos = ChaosComm(SimComm(4), plan)
         bufs = [np.arange(8, dtype=np.float32) for _ in range(4)]
-        plain.all_reduce_mean(bufs)
+        plain.all_gather(bufs)
         out_plain = plain.reduce_scatter_mean([b.copy() for b in bufs])
-        chaos.all_reduce_mean(bufs)
+        chaos.all_gather(bufs)
         out_chaos = chaos.reduce_scatter_mean([b.copy() for b in bufs])
         assert plain.stats.bytes_by_op == chaos.stats.bytes_by_op
         assert plain.stats.calls_by_op == chaos.stats.calls_by_op
@@ -226,11 +226,11 @@ class TestChaosComm:
         comm = ChaosComm(SimComm(2), plan, link_bandwidth=1e6)
         buf = np.ones(1000, dtype=np.float32)
         comm.set_step(1)
-        comm.all_reduce_mean([buf, buf])
+        comm.reduce_scatter_mean([buf, buf])
         clean = comm.stats.total_seconds()
         assert clean == pytest.approx(comm.stats.total_bytes() / 1e6)
         comm.set_step(10)
-        comm.all_reduce_mean([buf, buf])
+        comm.reduce_scatter_mean([buf, buf])
         assert comm.stats.total_seconds() == pytest.approx(clean * 5)  # 1x + 4x
 
     def test_clock_charged_under_comm_category(self):
@@ -239,12 +239,12 @@ class TestChaosComm:
         clock = SimClock()
         plan = FaultPlan()
         comm = ChaosComm(SimComm(2), plan, clock=clock, link_bandwidth=1e6)
-        comm.broadcast(np.ones(512, dtype=np.float32))
+        comm.all_gather([np.ones(256, dtype=np.float32)] * 2)
         assert clock.by_category["comm"] == pytest.approx(comm.stats.total_seconds())
 
     def test_world_size_one_is_free(self):
         comm = ChaosComm(SimComm(1), FaultPlan(), link_bandwidth=1.0)
-        comm.all_reduce_mean([np.ones(4, dtype=np.float32)])
+        comm.reduce_scatter_mean([np.ones(4, dtype=np.float32)])
         assert comm.stats.total_seconds() == 0.0
 
 

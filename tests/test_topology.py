@@ -7,8 +7,8 @@ world size — the hierarchy lives entirely in the cost model.  The
 property battery sweeps cluster shapes over world sizes 2–8 and pins
 every collective's per-link-class byte accounting to the closed-form
 2D algebra; the trainer-level tests extend the identity through chaos
-recovery, the compiled tape, and the mp backend; the validation tests
-close the dangling degraded-link gap.
+recovery and the compiled tape; the validation tests close the
+dangling degraded-link gap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist import HierComm, SimComm, Topology, reshard_checkpoint
+from repro.dist import SimComm, Topology, reshard_checkpoint
 from repro.dist.faults import (
     ChaosComm,
     FaultPlan,
@@ -29,7 +29,6 @@ from repro.dist.faults import (
     rank_failure,
     rank_join,
 )
-from repro.dist.mpcomm import mp_available, mp_unavailable_reason
 from repro.dist.reshard import placement_transfer_bytes
 from repro.dist.topology import LINK_CLASSES
 from repro.io import CheckpointPaths
@@ -199,18 +198,13 @@ def _closed_form(topo: Topology, op: str, nbytes: float, ws: int) -> dict:
     per_group = min(ws, topo.ranks_per_node)
     f_i = (per_group - 1) / per_group
     f_n = (occupied - 1) / occupied
-    if op == "all_reduce":
-        return {"intra": 2 * f_i * nbytes, "inter": 2 * f_n * nbytes / per_group}
-    if op in ("reduce_scatter", "all_gather"):
-        return {"intra": f_i * nbytes, "inter": f_n * nbytes / per_group}
-    return {"intra": f_i * nbytes, "inter": f_n * nbytes}
+    return {"intra": f_i * nbytes, "inter": f_n * nbytes / per_group}
 
 
 class TestCollectiveAlgebra:
     @settings(max_examples=120, deadline=None)
     @given(cluster=_clusters(),
-           op=st.sampled_from(("all_reduce", "reduce_scatter", "all_gather",
-                               "broadcast")),
+           op=st.sampled_from(("reduce_scatter", "all_gather")),
            numel=st.integers(min_value=1, max_value=64))
     def test_collective_bytes_match_closed_form(self, cluster, op, numel):
         topo, ws = cluster
@@ -225,14 +219,13 @@ class TestCollectiveAlgebra:
 
     @settings(max_examples=60, deadline=None)
     @given(cluster=_clusters(),
-           op=st.sampled_from(("all_reduce", "reduce_scatter", "all_gather",
-                               "broadcast")),
+           op=st.sampled_from(("reduce_scatter", "all_gather")),
            numel=st.integers(min_value=1, max_value=64))
     def test_degenerate_shapes_recover_the_flat_ring(self, cluster, op, numel):
         topo, ws = cluster
         nbytes = float(numel * 4)
         split = topo.collective_bytes(op, nbytes, ws)
-        flat = (2.0 if op == "all_reduce" else 1.0) * (ws - 1) / ws * nbytes
+        flat = (ws - 1) / ws * nbytes
         if topo.nodes == 1:
             assert split["inter"] == 0.0
             assert split["intra"] == pytest.approx(flat, rel=REL)
@@ -242,7 +235,7 @@ class TestCollectiveAlgebra:
 
     def test_world_size_one_is_free(self):
         topo = Topology(nodes=2, ranks_per_node=2)
-        for op in ("all_reduce", "reduce_scatter", "all_gather", "broadcast"):
+        for op in ("reduce_scatter", "all_gather"):
             assert topo.collective_bytes(op, 4096.0, 1) == {"intra": 0.0, "inter": 0.0}
 
     def test_unknown_op_rejected(self):
@@ -250,22 +243,18 @@ class TestCollectiveAlgebra:
             Topology(nodes=2, ranks_per_node=2).collective_bytes("gossip", 1.0, 4)
 
 
-class TestHierCommBitwise:
-    """HierComm == SimComm bitwise, per collective, across shapes."""
+class TestTopologyCommBitwise:
+    """SimComm(topology=...) == flat SimComm bitwise, per collective, across shapes."""
 
     @settings(max_examples=60, deadline=None)
     @given(cluster=_clusters(), shard=st.integers(min_value=1, max_value=8),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_all_collectives_bitwise_and_accounted(self, cluster, shard, seed):
         topo, ws = cluster
-        flat, hier = SimComm(ws), HierComm(ws, topo)
+        flat, hier = SimComm(ws), SimComm(ws, topology=topo)
         rng = np.random.default_rng(seed)
         bufs = [rng.standard_normal(ws * shard).astype(np.float32)
                 for _ in range(ws)]
-
-        a = flat.all_reduce_mean([b.copy() for b in bufs])
-        b = hier.all_reduce_mean([b.copy() for b in bufs])
-        assert a.tobytes() == b.tobytes()
 
         for out_flat, out_hier in zip(
             flat.reduce_scatter_mean([b.copy() for b in bufs]),
@@ -276,17 +265,11 @@ class TestHierCommBitwise:
         shards = [rng.standard_normal(shard).astype(np.float32) for _ in range(ws)]
         assert flat.all_gather(shards).tobytes() == hier.all_gather(shards).tobytes()
 
-        root_buf = rng.standard_normal(shard).astype(np.float32)
-        for out_flat, out_hier in zip(
-            flat.broadcast(root_buf), hier.broadcast(root_buf)
-        ):
-            assert out_flat.tobytes() == out_hier.tobytes()
-
         # Per-link-class accounting: suffixed ops only, bytes equal to
         # the closed-form split of exactly what the flat comm charged.
         assert all("/" in op for op in hier.stats.bytes_by_op)
         for op, flat_bytes in flat.stats.bytes_by_op.items():
-            raw = flat_bytes / ((2.0 if op == "all_reduce" else 1.0) * (ws - 1) / ws)
+            raw = flat_bytes / ((ws - 1) / ws)
             split = topo.collective_bytes(op, raw, ws)
             for link_class in LINK_CLASSES:
                 assert hier.stats.bytes_by_op[f"{op}/{link_class}"] == pytest.approx(
@@ -297,18 +280,19 @@ class TestHierCommBitwise:
 
     def test_capacity_check(self):
         with pytest.raises(DistError):
-            HierComm(5, Topology(nodes=2, ranks_per_node=2))
+            SimComm(5, topology=Topology(nodes=2, ranks_per_node=2))
         with pytest.raises(DistError):
-            HierComm(2, topology="2x2")
+            SimComm(2, topology="2x2")
 
     def test_single_node_totals_match_flat(self):
         """A 1xR cluster charges the flat ring's bytes, all intra."""
-        flat, hier = SimComm(4), HierComm(4, Topology(nodes=1, ranks_per_node=4))
+        flat = SimComm(4)
+        hier = SimComm(4, topology=Topology(nodes=1, ranks_per_node=4))
         bufs = [np.ones(8, dtype=np.float32) for _ in range(4)]
-        flat.all_reduce_mean(bufs)
-        hier.all_reduce_mean(bufs)
+        flat.reduce_scatter_mean(bufs)
+        hier.reduce_scatter_mean(bufs)
         assert hier.stats.total_bytes() == flat.stats.total_bytes()
-        assert hier.stats.bytes_by_op["all_reduce/inter"] == 0.0
+        assert hier.stats.bytes_by_op["reduce_scatter/inter"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +342,6 @@ class TestTrainerBitwise:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.resolved_topology == topo
         assert topo_config(tmp_path, topology=None).resolved_topology is None
-
-
-@pytest.mark.skipif(not mp_available(),
-                    reason=f"mp backend unavailable: {mp_unavailable_reason()}")
-class TestTopologyMpBackend:
-    def test_mp_hier_bitwise_equal_to_sim_hier(self, tmp_path):
-        topo = Topology(nodes=2, ranks_per_node=2)
-        sim = Trainer(topo_config(tmp_path / "sim", topology=topo,
-                                  comm_backend="sim"))
-        sim.train()
-        mp = Trainer(topo_config(tmp_path / "mp", topology=topo,
-                                 comm_backend="mp"))
-        try:
-            mp.train()
-            assert mp.engine.comm.backend == "mp"
-            assert_states_equal(
-                sim.engine.master_state_dict(), mp.engine.master_state_dict()
-            )
-            assert_states_equal(sim.model.state_dict(), mp.model.state_dict())
-            assert (sim.engine.comm.stats.bytes_by_op
-                    == mp.engine.comm.stats.bytes_by_op)
-        finally:
-            mp.close()
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +493,15 @@ class TestChaosCommPricing:
         """Each link class is priced at its own bandwidth."""
         topo = Topology(nodes=2, ranks_per_node=2,
                         intra_bandwidth=1e6, inter_bandwidth=1e3)
-        comm = ChaosComm(HierComm(4, topo), FaultPlan())
+        comm = ChaosComm(SimComm(4, topology=topo), FaultPlan())
         buf = np.ones(4096, dtype=np.float32)
-        comm.all_reduce_mean([buf, buf, buf, buf])
-        split = topo.collective_bytes("all_reduce", buf.nbytes, 4)
+        comm.reduce_scatter_mean([buf, buf, buf, buf])
+        split = topo.collective_bytes("reduce_scatter", buf.nbytes, 4)
         stats = comm.stats
-        assert stats.seconds_by_op["all_reduce/intra"] == pytest.approx(
+        assert stats.seconds_by_op["reduce_scatter/intra"] == pytest.approx(
             split["intra"] / 1e6, rel=REL
         )
-        assert stats.seconds_by_op["all_reduce/inter"] == pytest.approx(
+        assert stats.seconds_by_op["reduce_scatter/inter"] == pytest.approx(
             split["inter"] / 1e3, rel=REL
         )
 
@@ -548,16 +509,16 @@ class TestChaosCommPricing:
         topo = Topology(nodes=2, ranks_per_node=2,
                         intra_bandwidth=1e6, inter_bandwidth=1e6)
         plan = FaultPlan(events=(degraded_link(0, 1, 0.25, step=1),))  # intra
-        comm = ChaosComm(HierComm(4, topo), plan)
+        comm = ChaosComm(SimComm(4, topology=topo), plan)
         comm.set_step(1)
         buf = np.ones(4096, dtype=np.float32)
-        comm.all_reduce_mean([buf, buf, buf, buf])
-        split = topo.collective_bytes("all_reduce", buf.nbytes, 4)
+        comm.reduce_scatter_mean([buf, buf, buf, buf])
+        split = topo.collective_bytes("reduce_scatter", buf.nbytes, 4)
         stats = comm.stats
-        assert stats.seconds_by_op["all_reduce/intra"] == pytest.approx(
+        assert stats.seconds_by_op["reduce_scatter/intra"] == pytest.approx(
             split["intra"] / 1e6 * 4.0, rel=REL   # 1/0.25 slowdown
         )
-        assert stats.seconds_by_op["all_reduce/inter"] == pytest.approx(
+        assert stats.seconds_by_op["reduce_scatter/inter"] == pytest.approx(
             split["inter"] / 1e6, rel=REL          # untouched
         )
 

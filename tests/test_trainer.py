@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(total_steps=10, failure_step=11)
 
+    @pytest.mark.parametrize("backend", ["mp", "auto", "tcp"])
+    def test_only_sim_backend_accepted(self, backend):
+        assert TrainConfig().comm_backend == "sim"
+        with pytest.raises(ConfigError, match="mp process-pool backend was removed"):
+            TrainConfig(comm_backend=backend)
+
     def test_derived_quantities(self):
         cfg = TrainConfig(world_size=2, micro_batch_size=3, grad_accum_steps=4, seq_len=10)
         assert cfg.global_batch_size == 24
