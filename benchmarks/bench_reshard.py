@@ -4,10 +4,9 @@ The merge experiments measure consolidating shards *to one rank*; real
 fleets also resume on a different world size than they checkpointed
 with.  This scenario times the resharding engine over the shapes that
 matter: shrink (4→2), consolidate (4→1, the merge-degenerate case), and
-scatter (1→4), with the streaming engine against the materializing
-reference path.  The streaming engine trades a few extra selective
-reads (``N + M - gcd(N, M)`` loads instead of N) for never holding the
-full master state in memory.
+scatter (1→4).  The streaming engine trades a few extra selective reads
+(``N + M - gcd(N, M)`` loads instead of N) for never holding the full
+master state in memory.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def full_checkpoints(tmp_path_factory):
 
 def _record(key: str, mean: float) -> None:
     _times[key] = mean
-    if len(_times) == 4:  # final parametrization: emit the comparison table
+    if len(_times) == 3:  # final parametrization: emit the comparison table
         table = Table(["Reshard", "Engine", "Time (s)"],
                       title="Elastic resharding (llama3.2-1b-sim, 34 groups)")
         for name, seconds in _times.items():
@@ -56,14 +55,14 @@ def _record(key: str, mean: float) -> None:
         emit("reshard_times", table.render())
 
 
-@pytest.mark.parametrize("mode", ["materialize", "stream"])
+@pytest.mark.parametrize("mode", ["stream"])
 def test_reshard_shrink_4_to_2(benchmark, full_checkpoints, tmp_path, mode):
     """The elastic-fleet case neither merge nor scatter covers."""
     ws4, _ = full_checkpoints
 
     def run():
         out = tmp_path / f"shrink-{mode}-{next(_counter)}"
-        return reshard_checkpoint(ws4, out, 2, stream=mode == "stream", workers=2)
+        return reshard_checkpoint(ws4, out, 2, workers=2)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
     _record(f"4->2:{mode}", benchmark.stats["mean"])
@@ -75,7 +74,7 @@ def test_reshard_consolidate_4_to_1(benchmark, full_checkpoints, tmp_path):
 
     def run():
         out = tmp_path / f"consolidate-{next(_counter)}"
-        return reshard_checkpoint(ws4, out, 1, stream=True)
+        return reshard_checkpoint(ws4, out, 1)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
     _record("4->1:stream", benchmark.stats["mean"])
@@ -88,7 +87,7 @@ def test_reshard_scatter_1_to_4(benchmark, full_checkpoints, tmp_path):
 
     def run():
         out = tmp_path / f"scatter-{next(_counter)}"
-        holder["report"] = reshard_checkpoint(ws1, out, 4, stream=True, workers=2)
+        holder["report"] = reshard_checkpoint(ws1, out, 4, workers=2)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
     # Every target rank reads the single source shard (N + M - gcd = 4),

@@ -13,8 +13,7 @@ Mirrors the paper artifact's workflow:
 * ``llmtailor auto-merge RUN_DIR --failure-step N -o OUT`` — scan a
   partial-checkpoint trail and merge automatically (workflow T2);
 * ``llmtailor reshard CKPT_DIR -o OUT -w M`` — elastically re-partition
-  a complete checkpoint's optimizer shards to a new world size (N→M,
-  streaming by default);
+  a complete checkpoint's optimizer shards to a new world size (N→M);
 * ``llmtailor verify CKPT_DIR`` — structural verification;
 * ``llmtailor describe CKPT_DIR`` — sizes and slot coverage;
 * ``llmtailor groups MODEL`` — print the tailored 2L+x group layout
@@ -30,8 +29,8 @@ Mirrors the paper artifact's workflow:
 * ``llmtailor client JOBFILE --socket PATH`` — submit a job file to a
   running service and wait for the results.
 
-``merge``/``auto-merge`` take ``--workers``/``--stream`` to drive the
-parallel streaming merge engine.
+``merge``/``auto-merge``/``reshard`` take ``--workers`` to fan the
+engine out across ranks and shard loads.
 """
 
 from __future__ import annotations
@@ -105,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("-o", "--output", help="output checkpoint directory")
     p_merge.add_argument("--workers", type=int, default=None,
                          help="override recipe options.workers (parallel fan-out)")
-    p_merge.add_argument("--stream", action="store_true", default=None,
-                         help="use the streaming engine (bounded peak memory)")
     p_merge.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
                          default=None, help="override recipe options.cache_mode")
 
@@ -115,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_auto.add_argument("--failure-step", type=int, default=None)
     p_auto.add_argument("-o", "--output", required=True)
     p_auto.add_argument("--workers", type=int, default=1)
-    p_auto.add_argument("--stream", action="store_true",
-                        help="use the streaming engine (bounded peak memory)")
     p_auto.add_argument(
         "--cache-mode", choices=("per-checkpoint", "none"), default="per-checkpoint"
     )
@@ -131,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of ranks the output should have")
     p_reshard.add_argument("--workers", type=int, default=1,
                            help="parallel target-rank transfers")
-    p_reshard.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="streaming engine (bounded peak memory; default on)")
 
     p_verify = sub.add_parser("verify", help="verify a checkpoint structurally")
     p_verify.add_argument("checkpoint", help="checkpoint directory")
@@ -160,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "to M ranks")
     p_plan.add_argument("--workers", type=int, default=1,
                         help="merge/reshard estimate: parallel workers")
-    # Default None so each estimate can apply its engine's own default:
-    # merge is serial unless --stream, reshard streams unless --no-stream
-    # (matching the `merge` and `reshard` commands themselves).
-    p_plan.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="merge/reshard estimate: streaming engine")
     p_plan.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
                         default="per-checkpoint", help="merge estimate: load policy")
     p_plan.add_argument("--faults", default=None, metavar="PLAN_YAML",
@@ -321,8 +307,6 @@ def _cmd_merge(args) -> int:
     overrides = {}
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.stream is not None:
-        overrides["stream"] = args.stream
     if args.cache_mode is not None:
         overrides["cache_mode"] = args.cache_mode
     if overrides:
@@ -338,7 +322,6 @@ def _cmd_auto_merge(args) -> int:
         failure_step=args.failure_step,
         workers=args.workers,
         cache_mode=args.cache_mode,
-        stream=args.stream,
     )
     result = LLMTailor(recipe).merge(output=args.output)
     print(result.summary())
@@ -352,7 +335,6 @@ def _cmd_reshard(args) -> int:
         args.checkpoint,
         args.output,
         args.target_world_size,
-        stream=args.stream,
         workers=args.workers,
     )
     print(report.summary())
@@ -467,12 +449,10 @@ def _cmd_plan(args) -> int:
             num_checkpoints=args.merge_checkpoints,
             cache_mode=args.cache_mode,
             workers=args.workers,
-            stream=bool(args.stream),
         )
-        mode = "stream" if merge.stream else "serial"
         print(
             f"merge estimate ({merge.num_checkpoints} ckpts, {merge.cache_mode}, "
-            f"{mode}, workers={merge.workers}):"
+            f"workers={merge.workers}):"
         )
         print(f"  loads per rank         : {merge.loads_per_rank}")
         print(f"  bytes loaded           : {format_bytes(merge.bytes_loaded)}")
@@ -486,13 +466,11 @@ def _cmd_plan(args) -> int:
             source_world_size=args.world_size,
             target_world_size=args.reshard_to,
             workers=args.workers,
-            stream=args.stream if args.stream is not None else True,
             topology=topology,
         )
-        mode = "stream" if reshard.stream else "materialize"
         print(
             f"reshard estimate ({reshard.source_world_size} -> "
-            f"{reshard.target_world_size} ranks, {mode}, workers={reshard.workers}):"
+            f"{reshard.target_world_size} ranks, workers={reshard.workers}):"
         )
         print(f"  shard loads            : {reshard.loads}")
         print(f"  bytes loaded           : {format_bytes(reshard.bytes_loaded)}")

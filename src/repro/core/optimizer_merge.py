@@ -2,48 +2,49 @@
 
 Per data-parallel rank ``r`` there is one monolithic shard blob per
 checkpoint; because optimizer state cannot be lazily loaded, building
-the merged rank-``r`` shard requires *fully loading* every source
-checkpoint's rank-``r`` blob.  The tailored 2L+x group layout makes the
-copy itself trivial: a transformer layer owns exactly two group indices
-(computable from the config alone), so merging is "index, copy, insert".
+the merged rank-``r`` shard means decoding every source checkpoint's
+rank-``r`` blob.  The tailored 2L+x group layout makes the copy itself
+trivial: a transformer layer owns exactly two group indices (computable
+from the config alone), so merging is "index, copy, insert".
 
-Two load policies reproduce the paper's Table 7 regimes:
+Every load is a selective read
+(:func:`~repro.dist.zero.read_shard_groups`): the compressed payload
+streams through the decoder up to the last wanted group, but only the
+groups the plan takes from that source become numpy arrays, each
+checked against its header ``crc32``.  Two load schedules reproduce the
+paper's Table 7 regimes:
 
-* ``per-checkpoint`` — each distinct source blob is loaded once per rank
+* ``per-checkpoint`` — one load per distinct source checkpoint per rank
   (the "straightforward" mode: layers 1-16 from ckpt A, 17-32 from B);
-* ``none`` — the source blob is re-loaded for every slot (the
-  "interleaved parity" mode, which loads and discards checkpoints N
-  times and dominates merge time).
+* ``none`` — one load per slot (the "interleaved parity" mode, which
+  loads and discards checkpoints N times and dominates merge time).
 
 Ranks are processed in parallel with ``ProcessPoolExecutor`` (§4.2),
 falling back to in-process execution when multiprocessing is
-unavailable or ``workers == 1``.
-
-The *streaming* engine (``spec["stream"]``) replaces the full-blob
-decode with selective reads: each load walks the monolithic shard
-sequentially but materializes only the parameter groups the plan
-actually takes from that source, and the independent loads are fanned
-across a ``ThreadPoolExecutor``.  The merged shard it writes is
-bitwise-identical to the serial path at any world size; only peak
-memory (one output shard instead of every cached source) and decode
-work (wanted groups instead of all groups per load) change.
+unavailable or ``workers == 1``; within a rank the independent loads
+fan across a ``ThreadPoolExecutor``.  Peak memory per rank is one
+output shard, never every loaded source.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..dist.zero import SHARD_FORMAT_VERSION, group_payload_crc
-from ..io.blobfile import read_blob, read_blob_selected, write_blob
+from ..dist.zero import (
+    SHARD_FORMAT_VERSION,
+    read_shard_groups,
+    read_shard_metadata,
+    worker_budget,
+)
+from ..io.blobfile import write_blob
 from ..io.layout import CheckpointPaths, shard_filename
 from ..io.storage import GroupCache, group_key
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
-from ..util.errors import MergeError
+from ..util.errors import GroupCRCError, MergeError
 from ..util.timer import WallTimer
 from .groups import groups_for_slot
 
@@ -52,15 +53,13 @@ __all__ = [
     "get_group_cache",
     "merge_optimizer_shards",
     "merge_rank_shard",
-    "read_shard_metadata",
     "set_group_cache",
-    "worker_budget",
 ]
 
 # Cross-request group cache installed by the serve daemon (None outside
-# a service process).  The streaming engine consults it per shard load;
-# the one-shot CLI paths never install one, so their behaviour — and
-# their bitwise output, which the cache preserves by construction — is
+# a service process).  The merge engine consults it per shard load; the
+# one-shot CLI paths never install one, so their behaviour — and their
+# bitwise output, which the cache preserves by construction — is
 # unchanged.
 _GROUP_CACHE: GroupCache | None = None
 
@@ -69,8 +68,8 @@ def set_group_cache(cache: GroupCache | None) -> GroupCache | None:
     """Install (or clear) the process-wide merge group cache.
 
     Returns the previously installed cache so callers can restore it.
-    Only the in-process streaming path consults the cache; rank fan-out
-    through a process pool cannot see it, so services that want cache
+    Only in-process rank merges consult the cache; rank fan-out through
+    a process pool cannot see it, so services that want cache
     hits run rank merges in threads (``workers=1`` per job).
     """
     global _GROUP_CACHE
@@ -82,16 +81,6 @@ def set_group_cache(cache: GroupCache | None) -> GroupCache | None:
 def get_group_cache() -> GroupCache | None:
     """The currently installed merge group cache, if any."""
     return _GROUP_CACHE
-
-
-def worker_budget(workers: int, tasks: int) -> int:
-    """Clamp a requested fan-out to the task count and machine size.
-
-    The single worker-pool policy shared by the merge engine and the
-    resharder: never more workers than independent tasks, never
-    oversubscribe a small machine, never less than one.
-    """
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
 @dataclass
@@ -110,36 +99,6 @@ class RankMergeStats:
     def as_dict(self) -> dict[str, Any]:
         """Flat dict form for JSON artifacts and result summaries."""
         return dict(self.__dict__)
-
-
-@dataclass
-class _ShardCache:
-    """Load policy implementation + accounting."""
-
-    rank: int
-    cache_mode: str
-    stats: RankMergeStats
-    _cache: dict[str, dict] = field(default_factory=dict)
-    _seen: set = field(default_factory=set)
-
-    def load(self, ckpt_dir: str) -> dict:
-        if self.cache_mode == "per-checkpoint" and ckpt_dir in self._cache:
-            return self._cache[ckpt_dir]
-        shard_path = _shard_path(ckpt_dir, self.rank)
-        if not shard_path.exists():
-            raise MergeError(f"missing optimizer shard for rank {self.rank}: {shard_path}")
-        timer = WallTimer()
-        with timer:
-            shard = read_blob(shard_path)
-        self.stats.load_seconds += timer.elapsed
-        self.stats.files_loaded += 1
-        self.stats.bytes_loaded += shard_path.stat().st_size
-        if ckpt_dir not in self._seen:
-            self._seen.add(ckpt_dir)
-            self.stats.checkpoints_touched += 1
-        if self.cache_mode == "per-checkpoint":
-            self._cache[ckpt_dir] = shard
-        return shard
 
 
 def _shard_path(ckpt_dir: str, rank: int) -> Path:
@@ -172,7 +131,7 @@ def _take_groups(
     fp32: dict[int, Any],
     state: dict[int, Any],
 ) -> None:
-    """Copy one slot's groups out of a loaded (or selected) shard."""
+    """Copy one slot's groups out of a selectively read shard."""
     available = {h["index"]: h for h in shard["groups"]}
     available_hyper = {h["index"]: h for h in shard.get("hyperparams", [])}
     for g in wanted:
@@ -191,10 +150,10 @@ def _take_groups(
         state[g] = shard["state"][g]
 
 
-def _stream_load_tasks(
+def _load_tasks(
     config: ModelConfig, spec: dict[str, Any]
 ) -> list[tuple[str, list[str]]]:
-    """The streaming load schedule: ``(source_dir, slots)`` per load.
+    """The load schedule: ``(source_dir, slots)`` per load.
 
     ``cache_mode="none"`` keeps the paper's interleaved one-load-per-slot
     sequence; ``per-checkpoint`` coalesces every slot taken from the same
@@ -209,95 +168,30 @@ def _stream_load_tasks(
     return list(by_source.items())
 
 
-def _stream_extract(
+def _extract(
     spec: dict[str, Any], rank: int, source_dir: str, wanted: set[int]
 ) -> tuple[dict, float, int]:
     """Selectively read one shard, materializing only ``wanted`` groups.
 
-    Returns ``(shard_subset, load_seconds, file_bytes)``.  The whole
-    compressed payload still streams through the decoder (the blob is
-    monolithic), but skipped groups never become numpy arrays.
+    Returns ``(shard_subset, load_seconds, file_bytes)``.
     """
     shard_path = _shard_path(source_dir, rank)
     if not shard_path.exists():
         raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] in ("fp32_flat_groups", "state"):
-            return path[1] in wanted
-        return True
-
-    def indexed_filter(path: tuple):
-        if path in (("groups",), ("hyperparams",)):
-            return wanted
-        return None
-
-    # ``state`` is the shard's final section and its keys ascend, so the
-    # read stops — and stops decompressing — right after the last wanted
-    # group.  The whole-payload CRC is unreachable from a prefix, so
-    # every materialized group is instead checked against its own header
-    # ``crc32`` below (the per-item integrity model weight tensors
-    # already use); shards predating per-group CRCs fall back to a full
-    # drain so the payload CRC still applies.
     timer = WallTimer()
     with timer:
-        shard = read_blob_selected(
-            shard_path, want,
-            indexed_filter=indexed_filter,
-            stop_after=("state", max(wanted)),
-        )
-        headers = {h["index"]: h for h in shard.get("groups", [])}
-        # Fall back to a full pass (whole-payload CRC applies again) when
-        # the early-stopped prefix cannot stand on its own: shards whose
-        # headers predate per-group CRCs, or whose sections are not in
-        # ascending group order so the stop cut off wanted entries.
-        incomplete = any(
-            g not in shard.get("fp32_flat_groups", {}) or g not in shard.get("state", {})
-            for g in wanted
-        )
-        if incomplete or any("crc32" not in h for h in headers.values()):
-            shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-            headers = {h["index"]: h for h in shard.get("groups", [])}
-    for g in wanted:
-        header = headers.get(g)
-        fp32 = shard.get("fp32_flat_groups", {}).get(g)
-        state = shard.get("state", {}).get(g)
-        if header is None or "crc32" not in header or fp32 is None or state is None:
-            continue  # absence is reported as a merge error downstream
-        actual = group_payload_crc(fp32, state["exp_avg"], state["exp_avg_sq"])
-        if actual != int(header["crc32"]):
+        try:
+            shard = read_shard_groups(shard_path, wanted)
+        except GroupCRCError as exc:
             raise MergeError(
-                f"{shard_path}: CRC mismatch for group {g} in rank {rank} shard "
-                "(corrupt optimizer state)"
-            )
+                f"{shard_path}: CRC mismatch for group {exc.group} in rank {rank} "
+                "shard (corrupt optimizer state)"
+            ) from exc
     _validate_shard(shard, spec, source_dir, rank)
     return shard, timer.elapsed, shard_path.stat().st_size
 
 
-def read_shard_metadata(shard_path: str | Path) -> dict:
-    """One cheap selective pass: the whole shard *except* array payloads.
-
-    Returns the shard dict with ``fp32_flat_groups`` absent and each
-    ``state`` entry reduced to its scalars (``step``), while headers,
-    hyperparams and top-level fields decode normally.  The pass still
-    streams the compressed payload but materializes no numpy arrays, so
-    it costs decompress bandwidth only — the serve group cache memoizes
-    it per file identity, making repeat requests metadata-free too.
-    """
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] == "fp32_flat_groups":
-            return False
-        if len(path) == 3 and path[0] == "state" and path[2] in (
-            "exp_avg", "exp_avg_sq",
-        ):
-            return False
-        return True
-
-    return read_blob_selected(Path(shard_path), want)
-
-
-def _stream_extract_cached(
+def _extract_cached(
     cache: GroupCache, spec: dict[str, Any], rank: int, source_dir: str,
     wanted: set[int],
 ) -> tuple[dict, float, int]:
@@ -326,7 +220,7 @@ def _stream_extract_cached(
         if world_size < 1 or any(
             g not in headers or "crc32" not in headers[g] for g in wanted
         ):
-            return _stream_extract(spec, rank, source_dir, wanted)
+            return _extract(spec, rank, source_dir, wanted)
         nbytes = shard_path.stat().st_size if fresh else 0
 
         fp32: dict[int, Any] = {}
@@ -347,7 +241,7 @@ def _stream_extract_cached(
         if missing:
             # The plain path CRC-verifies exactly the groups it decodes,
             # which is what licenses inserting them under a content key.
-            subset, _, sub_nbytes = _stream_extract(spec, rank, source_dir, missing)
+            subset, _, sub_nbytes = _extract(spec, rank, source_dir, missing)
             nbytes += sub_nbytes
             for g in missing:
                 fp32[g] = subset["fp32_flat_groups"][g]
@@ -370,12 +264,18 @@ def _stream_extract_cached(
     return shard, timer.elapsed, nbytes
 
 
-def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, Any]:
-    """Streaming engine: selective group loads fanned across a thread pool."""
+def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
+    """Build and write the merged shard for one rank; returns stats.
+
+    ``spec`` is the picklable plan description from
+    :meth:`MergePlan.to_worker_spec` plus ``global_step``.  Top-level so
+    ProcessPoolExecutor can pickle it.  The schedule's independent
+    selective loads fan across a thread pool.
+    """
     config = ModelConfig.from_dict(spec["config"])
     stats = RankMergeStats(rank=rank)
 
-    tasks = _stream_load_tasks(config, spec)
+    tasks = _load_tasks(config, spec)
     wanted_sets = [
         {g for slot in slots for g in groups_for_slot(config, slot)}
         for _, slots in tasks
@@ -384,28 +284,21 @@ def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, An
 
     def extract(source_dir: str, wanted: set[int]) -> tuple[dict, float, int]:
         if cache is not None:
-            return _stream_extract_cached(cache, spec, rank, source_dir, wanted)
-        return _stream_extract(spec, rank, source_dir, wanted)
+            return _extract_cached(cache, spec, rank, source_dir, wanted)
+        return _extract(spec, rank, source_dir, wanted)
 
     # Threads only pay off when cores can decompress concurrently (zlib
     # releases the GIL); never oversubscribe a small machine.  When the
-    # rank-level process pool is active, ``stream_threads`` carries this
+    # rank-level process pool is active, ``load_threads`` carries this
     # rank's share of the worker budget so the levels do not multiply.
-    budget = int(spec.get("stream_threads", spec.get("workers", 1)))
+    budget = int(spec.get("load_threads", spec.get("workers", 1)))
     workers = worker_budget(budget, len(tasks))
+    sources = [src for src, _ in tasks]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            loads = list(
-                pool.map(
-                    lambda args: extract(args[0], args[1]),
-                    zip((src for src, _ in tasks), wanted_sets),
-                )
-            )
+            loads = list(pool.map(extract, sources, wanted_sets))
     else:
-        loads = [
-            extract(src, wanted)
-            for (src, _), wanted in zip(tasks, wanted_sets)
-        ]
+        loads = list(map(extract, sources, wanted_sets))
 
     groups_header: dict[int, dict] = {}
     hyperparams: dict[int, dict] = {}
@@ -429,39 +322,6 @@ def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, An
                                hyperparams, fp32, state)
 
 
-def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
-    """Build and write the merged shard for one rank; returns stats.
-
-    ``spec`` is the picklable plan description from
-    :meth:`MergePlan.to_worker_spec` plus ``global_step``.  Top-level so
-    ProcessPoolExecutor can pickle it.
-    """
-    if spec.get("stream"):
-        return _merge_rank_shard_streaming(spec, rank)
-    config = ModelConfig.from_dict(spec["config"])
-    stats = RankMergeStats(rank=rank)
-    cache = _ShardCache(rank=rank, cache_mode=spec["cache_mode"], stats=stats)
-
-    groups_header: dict[int, dict] = {}
-    hyperparams: dict[int, dict] = {}
-    fp32: dict[int, Any] = {}
-    state: dict[int, Any] = {}
-
-    # Iterate slot-by-slot in model order: with cache_mode="none" this is
-    # exactly the paper's interleaved load-and-discard sequence.
-    for slot in model_slots(config):
-        source_dir = spec["slot_sources"][slot]
-        shard = cache.load(source_dir)
-        _validate_shard(shard, spec, source_dir, rank)
-        _take_groups(
-            shard, source_dir, rank, slot, groups_for_slot(config, slot),
-            groups_header, hyperparams, fp32, state,
-        )
-        stats.slots_copied += 1
-    return _write_merged_shard(spec, rank, config, stats, groups_header,
-                               hyperparams, fp32, state)
-
-
 def _write_merged_shard(
     spec: dict[str, Any],
     rank: int,
@@ -472,7 +332,7 @@ def _write_merged_shard(
     fp32: dict[int, Any],
     state: dict[int, Any],
 ) -> dict[str, Any]:
-    """Assemble the canonical merged payload and write it (both engines)."""
+    """Assemble the canonical merged payload and write it."""
     num_groups = config.num_param_groups_tailored
     if set(groups_header) != set(range(num_groups)):
         missing = sorted(set(range(num_groups)) - set(groups_header))
@@ -521,9 +381,9 @@ def merge_optimizer_shards(
     results: list[dict[str, Any]]
     max_workers = worker_budget(workers, world_size)
     # Split the worker budget across the two levels of parallelism: with
-    # P rank processes in flight, each streaming rank gets workers/P
-    # threads, so total concurrency never exceeds the requested fan-out.
-    spec = dict(spec, stream_threads=max(1, workers // max(1, max_workers)))
+    # P rank processes in flight, each rank gets workers/P load threads,
+    # so total concurrency never exceeds the requested fan-out.
+    spec = dict(spec, load_threads=max(1, workers // max(1, max_workers)))
     jobs = [(spec, r) for r in range(world_size)]
     if max_workers > 1:
         try:

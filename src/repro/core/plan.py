@@ -74,7 +74,6 @@ class MergePlan:
             "options": {
                 "workers": self.options.workers,
                 "cache_mode": self.options.cache_mode,
-                "stream": self.options.stream,
             },
         }
 
@@ -85,7 +84,6 @@ class MergePlan:
             "world_size": self.world_size,
             "slot_sources": {s: str(cp.dir) for s, cp in self.slot_sources.items()},
             "cache_mode": self.options.cache_mode,
-            "stream": self.options.stream,
             "workers": self.options.workers,
             "output": str(self.output),
         }

@@ -45,20 +45,12 @@ _SLOT_RE = re.compile(r"^(layers\.(\d+)(-(\d+))?|embed_tokens|norm|lm_head)$")
 
 @dataclass(frozen=True)
 class MergeOptions:
-    """Execution knobs for the merge engine.
-
-    ``stream`` selects the streaming engine: shards are consumed
-    group-by-group through selective blob reads and weight files are
-    piped tensor-by-tensor, bounding peak memory to roughly one output
-    shard instead of every loaded source checkpoint.  The output is
-    bitwise-identical to the default (fully materializing) path.
-    """
+    """Execution knobs for the merge engine."""
 
     workers: int = 1
     cache_mode: str = "per-checkpoint"
     copy_configs_from: str = "base"  # "base" or an explicit checkpoint path
     verify: bool = True
-    stream: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -110,7 +102,6 @@ class MergeRecipe:
             "cache_mode": self.options.cache_mode,
             "copy_configs_from": self.options.copy_configs_from,
             "verify": self.options.verify,
-            "stream": self.options.stream,
         }
         return miniyaml.dumps(doc)
 
@@ -185,12 +176,18 @@ def parse_recipe(doc: Any) -> MergeRecipe:
     extra = set(opts_doc) - {"workers", "cache_mode", "copy_configs_from", "verify", "stream"}
     if extra:
         raise RecipeError(f"unknown option keys: {sorted(extra)}")
+    # Recipes written before the serial engine's removal may still say
+    # ``stream: true``, which is what every merge now does.
+    if opts_doc.get("stream", True) is not True:
+        raise RecipeError(
+            f"options.stream must be true, got {opts_doc['stream']!r} "
+            "(the serial merge engine was removed; every merge streams)"
+        )
     options = MergeOptions(
         workers=int(opts_doc.get("workers", 1)),
         cache_mode=str(opts_doc.get("cache_mode", "per-checkpoint")),
         copy_configs_from=str(opts_doc.get("copy_configs_from", "base")),
         verify=bool(opts_doc.get("verify", True)),
-        stream=bool(opts_doc.get("stream", False)),
     )
 
     output = doc.get("output")

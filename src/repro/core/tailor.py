@@ -12,8 +12,8 @@ Typical use::
 
 The merge pipeline (paper §4): resolve and validate the plan → merge
 weight files (lazy per-tensor copies) → merge per-rank optimizer shards
-(full-file loads, optionally in parallel) → copy config files → write
-manifest → verify.
+(selective, CRC-checked group loads, optionally in parallel) → copy
+config files → write manifest → verify.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ fault-free reference run:
   bandwidth; ring collectives are paced by the slowest link, so every
   collective slows by ``1 / bandwidth_scale``;
 * ``bitrot(step, rank, group)`` — a checkpoint shard's group payload is
-  corrupted on disk after it is written.  The per-group CRCs introduced
-  with the streaming merge engine catch the corruption on the next read
+  corrupted on disk after it is written.  The per-group CRCs every
+  selective shard read checks catch the corruption on the next read
   and recovery re-reads from the surviving replica instead of silently
   resuming from garbage;
 * ``rank_join(step)`` — a fresh rank becomes available after the step

@@ -4,25 +4,28 @@ Real fleets rarely resume on the world size they checkpointed with: a
 training job that saved on N data-parallel ranks comes back on M
 (shrunk after a hardware loss, grown after a quota bump).  DeepSpeed's
 monolithic per-rank shard files make that a full
-gather-everything-then-rescatter operation; this module does it as a
-*streaming* transformation instead, built from the same primitives the
-merge engine uses (paper §4.2, §5.4):
+gather-everything-then-rescatter operation; :func:`reshard_checkpoint`
+does it as a *streaming* file-to-file transformation instead, built from
+the same primitives the merge engine uses (paper §4.2, §5.4):
 
 * per-group shard math — :class:`~repro.dist.partition.GroupPartition`
   makes the N→M mapping a set of interval intersections in master
   coordinates (``N + M - gcd(N, M)`` transfers per group);
-* selective TLV reads — :func:`~repro.io.blobfile.read_blob_selected`
-  materializes only the groups a target rank needs from each source
-  shard, with each group checked against its header ``crc32``;
-* the merge engine's worker budget — independent target-rank transfers
-  fan across a thread pool clamped by
-  :func:`repro.core.optimizer_merge.worker_budget`.
+* the shared shard readers — :func:`~repro.dist.zero.read_shard_metadata`
+  for one array-free pass over source rank 0, and
+  :func:`~repro.dist.zero.read_shard_groups` to materialize only the
+  groups a target rank needs from each source shard, each checked
+  against its header ``crc32``;
+* the shared worker budget — independent target-rank transfers fan
+  across a thread pool clamped by :func:`~repro.dist.zero.worker_budget`.
 
 Peak memory is bounded by one *target* shard plus one source shard's
 selected groups per concurrent worker — never the full master state —
-so N→M stays cheap even when neither N nor M is 1.  ``N→1`` degenerates to a merge-style full
-consolidation and ``1→M`` to a scatter; both fall out of the same
-interval math.
+so N→M stays cheap even when neither N nor M is 1.  ``N→1``
+degenerates to a merge-style full consolidation and ``1→M`` to a
+scatter; both fall out of the same interval math.  The in-memory
+:func:`reshard_state_dicts` core serves the engine's elastic reader,
+which already holds every source payload.
 
 The output is bitwise round-trippable: resharding N→M→N reproduces the
 original shard files exactly, because group padding is canonically zero
@@ -41,12 +44,18 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..io.blobfile import read_blob, read_blob_selected, write_blob
+from ..io.blobfile import write_blob
 from ..io.layout import CheckpointPaths, shard_filename
-from ..util.errors import ReshardError
+from ..util.errors import GroupCRCError, ReshardError
 from ..util.timer import WallTimer
 from .partition import GroupPartition
-from .zero import SHARD_FORMAT_VERSION, group_payload_crc
+from .zero import (
+    SHARD_FORMAT_VERSION,
+    group_payload_crc,
+    read_shard_groups,
+    read_shard_metadata,
+    worker_budget,
+)
 
 __all__ = [
     "ReshardReport",
@@ -73,6 +82,8 @@ _CANONICAL_KEYS = (
     "fp32_flat_groups",
     "state",
 )
+
+
 @dataclass
 class ReshardReport:
     """Accounting for one N→M reshard."""
@@ -81,7 +92,6 @@ class ReshardReport:
     output: Path
     source_world_size: int
     target_world_size: int
-    stream: bool
     workers: int
     num_groups: int
     files_loaded: int = 0
@@ -101,12 +111,11 @@ class ReshardReport:
 
     def summary(self) -> str:
         """Multi-line human-readable recap (world sizes, loads, bytes, time)."""
-        mode = "stream" if self.stream else "materialize"
         lines = [
             f"resharded checkpoint: {self.output}",
             f"  world size           : {self.source_world_size} -> "
             f"{self.target_world_size}",
-            f"  engine               : {mode}, workers={self.workers}",
+            f"  workers              : {self.workers}",
             f"  groups per shard     : {self.num_groups}",
             f"  shard files loaded   : {self.files_loaded} "
             f"({self.bytes_loaded} bytes)",
@@ -215,7 +224,7 @@ def _group_step(state_entry: Mapping[str, Any] | None, g: int, origin: str) -> i
 
 
 # ---------------------------------------------------------------------------
-# Target payload assembly (shared by both engines)
+# Target payload assembly (shared by the file engine and the in-memory core)
 # ---------------------------------------------------------------------------
 
 def _target_payload(
@@ -379,12 +388,12 @@ def reshard_state_dicts(
     ranks agree by construction and rank 0 wins on hand-made divergence.
 
     This path materializes the full master state — use
-    :func:`reshard_checkpoint` with ``stream=True`` for the bounded-
-    memory file-to-file version, or :func:`reshard_rank_state_dict` for
-    a single target rank's payload.  ``consume`` destructively drains
-    the source payloads group by group as they are re-sliced, keeping
-    peak memory near one optimizer state instead of two — pass it when
-    the sources are not needed afterwards (the elastic reader does).
+    :func:`reshard_checkpoint` for the bounded-memory file-to-file
+    version, or :func:`reshard_rank_state_dict` for a single target
+    rank's payload.  ``consume`` destructively drains the source
+    payloads group by group as they are re-sliced, keeping peak memory
+    near one optimizer state instead of two — pass it when the sources
+    are not needed afterwards (the elastic reader does).
     """
     return _reshard_payloads(
         shards, target_world_size, range(int(target_world_size)), consume=consume
@@ -411,23 +420,13 @@ def reshard_rank_state_dict(
 # Streaming file-based engine
 # ---------------------------------------------------------------------------
 
-def _read_shard_metadata(path: Path) -> dict[str, Any]:
-    """Everything about a shard except its arrays, in one bounded pass.
+def _shard_layout(path: Path) -> dict[str, Any]:
+    """Headers, hyperparams, step counters and extras of one shard.
 
-    Materializes headers, hyperparams, per-group step counters, and the
-    non-canonical top-level keys; the array payloads are skipped in the
-    byte stream.  The full payload still flows through the decompressor,
-    so the container CRC and length checks apply.
+    Built from the shared array-free metadata pass, so the container CRC
+    and length checks apply.
     """
-
-    def want(p: tuple) -> bool:
-        if len(p) == 2 and p[0] == "fp32_flat_groups":
-            return False
-        if len(p) == 3 and p[0] == "state" and p[2] != "step":
-            return False
-        return True
-
-    doc = read_blob_selected(path, want)
+    doc = read_shard_metadata(path)
     headers = _complete_headers(doc, str(path))
     steps = {
         g: _group_step(doc.get("state", {}).get(g), g, str(path)) for g in headers
@@ -443,52 +442,23 @@ def _read_shard_metadata(path: Path) -> dict[str, Any]:
 def _selective_group_read(
     shard_path: Path, source_world: int, rank: int, wanted: set[int]
 ) -> dict[str, Any]:
-    """Materialize only ``wanted`` groups from one source shard.
-
-    Mirrors the merge engine's selective extract: early-stop right after
-    the last wanted group when every header carries a ``crc32`` (each
-    materialized group is then verified individually); fall back to a
-    full selective pass — container CRC applies — otherwise.
-    """
+    """Materialize only ``wanted`` groups from one source shard, CRC-checked."""
     if not shard_path.exists():
         raise ReshardError(f"missing optimizer shard for rank {rank}: {shard_path}")
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] in ("fp32_flat_groups", "state"):
-            return path[1] in wanted
-        return True
-
-    def indexed_filter(path: tuple):
-        if path in (("groups",), ("hyperparams",)):
-            return wanted
-        return None
-
-    shard = read_blob_selected(
-        shard_path, want,
-        indexed_filter=indexed_filter,
-        stop_after=("state", max(wanted)),
-    )
-    headers = {int(h["index"]): h for h in shard.get("groups", [])}
-    incomplete = any(
-        g not in shard.get("fp32_flat_groups", {}) or g not in shard.get("state", {})
-        for g in wanted
-    )
-    if incomplete or any("crc32" not in h for h in headers.values()):
-        shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-        headers = {int(h["index"]): h for h in shard.get("groups", [])}
+    try:
+        shard = read_shard_groups(shard_path, wanted)
+    except GroupCRCError as exc:
+        raise ReshardError(
+            f"{shard_path}: CRC mismatch for group {exc.group} (corrupt optimizer state)"
+        ) from exc
     _validate_payload(shard, source_world, rank, str(shard_path))
+    present = {int(h["index"]) for h in shard.get("groups", [])}
     for g in wanted:
-        if g not in headers or g not in shard.get("fp32_flat_groups", {}):
+        if g not in present or g not in shard.get("fp32_flat_groups", {}):
             raise ReshardError(f"{shard_path}: shard lacks group {g}")
         entry = shard["state"].get(g) or {}
-        arrays = {
-            "fp32": shard["fp32_flat_groups"][g],
-            "exp_avg": entry.get("exp_avg"),
-            "exp_avg_sq": entry.get("exp_avg_sq"),
-        }
-        if any(v is None for v in arrays.values()):
+        if entry.get("exp_avg") is None or entry.get("exp_avg_sq") is None:
             raise ReshardError(f"{shard_path}: group {g} state arrays are missing")
-        _verify_group_crc(headers[g], arrays, g, str(shard_path))
     return shard
 
 
@@ -554,8 +524,8 @@ def _reshard_one_rank(
             src_headers = {int(h["index"]): h for h in shard["groups"]}
             for g in sorted(wanted):
                 src, dst = partitions[g]
-                # Same cross-rank geometry contract as the materializing
-                # path: a foreign shard must fail, not interleave.
+                # Same cross-rank geometry contract as the in-memory
+                # core: a foreign shard must fail, not interleave.
                 if int(src_headers[g]["numel"]) != src.numel or list(
                     src_headers[g].get("param_names", [])
                 ) != list(headers[g].get("param_names", [])):
@@ -600,7 +570,6 @@ def reshard_checkpoint(
     output: str | Path,
     target_world_size: int,
     *,
-    stream: bool = True,
     workers: int = 1,
     topology=None,
 ) -> ReshardReport:
@@ -611,18 +580,15 @@ def reshard_checkpoint(
     rewritten with the target world size plus reshard provenance; the
     optimizer shards are re-partitioned.
 
-    ``stream=True`` (the default) consumes source shards group-by-group
-    through selective reads and writes each target shard as soon as it
-    is assembled, bounding peak memory to roughly one target shard plus
-    one source shard per concurrent worker — the full master state
-    never exists in memory.
-    Independent target ranks fan across a thread pool sized by the merge
-    engine's worker budget.  ``stream=False`` materializes everything
-    through :func:`reshard_state_dicts` (the reference path; bitwise-
-    identical output).
+    Source shards are consumed group-by-group through selective reads
+    and each target shard is written as soon as it is assembled,
+    bounding peak memory to roughly one target shard plus one source
+    shard per concurrent worker — the full master state never exists in
+    memory.  Independent target ranks fan across a thread pool sized by
+    :func:`~repro.dist.zero.worker_budget`.
 
     With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
-    streaming reads become placement-aware — each target rank pulls
+    reads become placement-aware — each target rank pulls
     same-node source shards before cross-node ones (bitwise-identical
     output: sources fill disjoint intervals) — and the report carries
     per-link-class logical byte totals
@@ -684,73 +650,46 @@ def reshard_checkpoint(
         output=out_paths.dir,
         source_world_size=N,
         target_world_size=M,
-        stream=bool(stream),
         workers=int(workers),
         num_groups=0,
         topology=None if topology is None else topology.shape,
     )
 
-    if stream:
-        meta_path = paths.shard(0)
-        meta = _read_shard_metadata(meta_path)
-        # The metadata pass decompresses shard 0 once more than the
-        # group transfers do — count it, so the report (and the cost
-        # model's N + M - gcd + 1) stays honest.
-        report.files_loaded += 1
-        report.bytes_loaded += meta_path.stat().st_size
-        report.num_groups = len(meta["headers"])
-        # Local import: optimizer_merge imports repro.dist at module load,
-        # so the shared budget helper must be resolved lazily here.
-        from ..core.optimizer_merge import worker_budget
+    meta_path = paths.shard(0)
+    meta = _shard_layout(meta_path)
+    # The metadata pass decompresses shard 0 once more than the group
+    # transfers do — count it, so the report (and the cost model's
+    # N + M - gcd + 1) stays honest.
+    report.files_loaded += 1
+    report.bytes_loaded += meta_path.stat().st_size
+    report.num_groups = len(meta["headers"])
 
-        pool_size = worker_budget(workers, M)
-        jobs = range(M)
-        if pool_size > 1:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                results = list(
-                    pool.map(
-                        lambda m: _reshard_one_rank(
-                            paths, out_optim_dir, meta, N, M, m, topology
-                        ),
-                        jobs,
-                    )
+    pool_size = worker_budget(workers, M)
+    if pool_size > 1:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            results = list(
+                pool.map(
+                    lambda m: _reshard_one_rank(
+                        paths, out_optim_dir, meta, N, M, m, topology
+                    ),
+                    range(M),
                 )
-        else:
-            results = [
-                _reshard_one_rank(paths, out_optim_dir, meta, N, M, m, topology)
-                for m in jobs
-            ]
-        for stats in results:
-            report.files_loaded += stats["files_loaded"]
-            report.bytes_loaded += stats["bytes_loaded"]
-            report.bytes_written += stats["bytes_written"]
-            report.rank_seconds.append(stats["seconds"])
-        if topology is not None:
-            numels = [int(h["numel"]) for _, h in sorted(meta["headers"].items())]
-            report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
-                numels, N, M, topology
             )
     else:
-        sources = []
-        for r in range(N):
-            shard_path = paths.shard(r)
-            if not shard_path.exists():
-                raise ReshardError(f"missing optimizer shard for rank {r}: {shard_path}")
-            sources.append(read_blob(shard_path))
-            report.files_loaded += 1
-            report.bytes_loaded += shard_path.stat().st_size
-        if topology is not None:
-            numels = [
-                int(h["numel"])
-                for h in sorted(sources[0]["groups"], key=lambda h: int(h["index"]))
-            ]
-            report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
-                numels, N, M, topology
-            )
-        payloads = reshard_state_dicts(sources, M, consume=True)
-        report.num_groups = int(payloads[0]["num_total_groups"]) if payloads else 0
-        for m, payload in enumerate(payloads):
-            report.bytes_written += write_blob(out_optim_dir / shard_filename(m), payload)
+        results = [
+            _reshard_one_rank(paths, out_optim_dir, meta, N, M, m, topology)
+            for m in range(M)
+        ]
+    for stats in results:
+        report.files_loaded += stats["files_loaded"]
+        report.bytes_loaded += stats["bytes_loaded"]
+        report.bytes_written += stats["bytes_written"]
+        report.rank_seconds.append(stats["seconds"])
+    if topology is not None:
+        numels = [int(h["numel"]) for _, h in sorted(meta["headers"].items())]
+        report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
+            numels, N, M, topology
+        )
 
     # Re-using an output directory from an earlier, larger-M reshard must
     # not leave stale higher-rank shard files behind the new manifest.
@@ -773,7 +712,6 @@ def reshard_checkpoint(
     out_manifest["reshard_provenance"] = {
         "source": str(paths.dir),
         "source_world_size": N,
-        "stream": bool(stream),
     }
     out_paths.write_manifest(out_manifest)
 

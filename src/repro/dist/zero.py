@@ -44,27 +44,45 @@ Shard payload (``SHARD_FORMAT_VERSION``)::
 integrity that weight tensors get from the tensor-file format — which
 is what lets a selective reader verify exactly the groups it
 materializes without decoding the whole monolithic blob.
+
+The two shard readers every consumer shares live here, beside the
+format they read: :func:`read_shard_metadata` (headers, hyperparams and
+step counters, no arrays) and :func:`read_shard_groups` (only the wanted
+groups, each CRC-checked).  The merge engine, the resharder and the
+serve daemon all read shards through them and size their pools with
+:func:`worker_budget`.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable
 
 import numpy as np
 
 from ..autograd.tensor import Tensor
+from ..io.blobfile import read_blob_selected
 from ..nn.config import ModelConfig
 from ..nn.module import Module
 from ..numerics.dtypes import DType, quantize
 from ..optim.adam import AdamW
 from ..optim.optimizer import ParamGroup
-from ..util.errors import CheckpointError, ConfigError, DistError
+from ..util.errors import CheckpointError, ConfigError, DistError, GroupCRCError
 from .comm import SimComm
 from .partition import GroupPartition, flatten_arrays, unflatten_array
 
-__all__ = ["SHARD_FORMAT_VERSION", "GroupMeta", "ZeroStage3Engine", "group_payload_crc"]
+__all__ = [
+    "SHARD_FORMAT_VERSION",
+    "GroupMeta",
+    "ZeroStage3Engine",
+    "group_payload_crc",
+    "read_shard_groups",
+    "read_shard_metadata",
+    "worker_budget",
+]
 
 SHARD_FORMAT_VERSION = 1
 
@@ -76,6 +94,92 @@ def group_payload_crc(
     crc = zlib.crc32(np.ascontiguousarray(fp32).tobytes())
     crc = zlib.crc32(np.ascontiguousarray(exp_avg).tobytes(), crc)
     return zlib.crc32(np.ascontiguousarray(exp_avg_sq).tobytes(), crc)
+
+
+def worker_budget(workers: int, tasks: int) -> int:
+    """Clamp a requested fan-out to the task count and machine size.
+
+    The single worker-pool policy shared by the merge engine, the
+    resharder and the serve daemon: never more workers than independent
+    tasks, never oversubscribe a small machine, never less than one.
+    """
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
+def read_shard_metadata(shard_path: str | Path) -> dict:
+    """One cheap selective pass: the whole shard *except* array payloads.
+
+    Returns the shard dict with ``fp32_flat_groups`` absent and each
+    ``state`` entry reduced to its scalars (``step``), while headers,
+    hyperparams and top-level fields decode normally.  The pass still
+    streams the whole compressed payload — so the container CRC and
+    length checks apply — but materializes no numpy arrays; the serve
+    group cache memoizes it per file identity.
+    """
+
+    def want(path: tuple) -> bool:
+        if len(path) == 2 and path[0] == "fp32_flat_groups":
+            return False
+        if len(path) == 3 and path[0] == "state" and path[2] in (
+            "exp_avg", "exp_avg_sq",
+        ):
+            return False
+        return True
+
+    return read_blob_selected(Path(shard_path), want)
+
+
+def read_shard_groups(shard_path: str | Path, wanted: set[int]) -> dict:
+    """Selectively read one shard, materializing only ``wanted`` groups.
+
+    ``groups``/``hyperparams`` are filtered to ``wanted`` and every other
+    top-level field decodes normally.  ``state`` is the shard's final
+    section and its keys ascend, so the read stops — and stops
+    decompressing — right after ``("state", max(wanted))``.  The
+    whole-payload CRC is unreachable from a prefix, so each materialized
+    group is checked against its own header ``crc32`` instead, raising
+    :class:`~repro.util.errors.GroupCRCError` on a mismatch.  When the
+    prefix cannot stand on its own — headers predating per-group CRCs,
+    or sections out of ascending order so the stop cut off wanted
+    groups — the read falls back to a full selective pass, where the
+    container CRC applies again.  Absent groups are left for the caller
+    to report.
+    """
+    path = Path(shard_path)
+
+    def want(p: tuple) -> bool:
+        if len(p) == 2 and p[0] in ("fp32_flat_groups", "state"):
+            return p[1] in wanted
+        return True
+
+    def indexed_filter(p: tuple):
+        return wanted if p in (("groups",), ("hyperparams",)) else None
+
+    def needs_full_pass(shard: dict) -> bool:
+        return any(
+            g not in shard.get("fp32_flat_groups", {}) or g not in shard.get("state", {})
+            for g in wanted
+        ) or any("crc32" not in h for h in shard.get("groups", []))
+
+    shard = read_blob_selected(
+        path, want, indexed_filter=indexed_filter, stop_after=("state", max(wanted))
+    )
+    if needs_full_pass(shard):
+        shard = read_blob_selected(path, want, indexed_filter=indexed_filter)
+    headers = {int(h["index"]): h for h in shard.get("groups", [])}
+    for g in sorted(wanted):
+        header = headers.get(g) or {}
+        entry = shard.get("state", {}).get(g) or {}
+        arrays = (
+            shard.get("fp32_flat_groups", {}).get(g),
+            entry.get("exp_avg"),
+            entry.get("exp_avg_sq"),
+        )
+        if "crc32" not in header or any(a is None for a in arrays):
+            continue
+        if group_payload_crc(*arrays) != int(header["crc32"]):
+            raise GroupCRCError(path, g)
+    return shard
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import shutil
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class TensorFileWriter:
     their one-sequential-write cost.  Either way the target is replaced
     atomically, and feeding the same tensors in the same order produces
     a byte-identical file to :func:`write_tensorfile`, which is itself
-    implemented on top of this class — the streaming merge paths rely on
-    that equivalence.
+    implemented on top of this class — the weight merge's bitwise tests
+    rely on that equivalence.
     """
 
     SPILL_THRESHOLD = 64 << 20  # data sections beyond this go to disk
@@ -172,15 +172,18 @@ class TensorFileWriter:
 
 def write_tensorfile(
     path: str | Path,
-    tensors: Mapping[str, np.ndarray],
+    tensors: Mapping[str, Any] | Iterable[tuple[str, Any]],
     *,
     dtype: DType | Mapping[str, DType] = DType.BF16,
     metadata: dict[str, Any] | None = None,
 ) -> int:
-    """Serialize float32 tensors at the given storage precision.
+    """Serialize tensors at the given storage precision.
 
-    ``dtype`` may be a single :class:`DType` for every tensor or a
-    per-name mapping.  Returns the total bytes written.
+    ``tensors`` is a mapping or an iterable of ``(name, value)`` pairs,
+    consumed one at a time.  A value is a float32 array, encoded at
+    ``dtype`` (one :class:`DType` for every tensor or a per-name
+    mapping), or a ``(raw, entry)`` pair from :meth:`TensorFile.read_raw`,
+    copied verbatim.  Returns the total bytes written.
     """
 
     def dtype_for(name: str) -> DType:
@@ -188,9 +191,13 @@ def write_tensorfile(
             return dtype
         return dtype[name]
 
+    items = tensors.items() if isinstance(tensors, Mapping) else tensors
     with TensorFileWriter(path, metadata=metadata) as writer:
-        for name, array in tensors.items():
-            writer.add(name, array, dtype_for(name))
+        for name, value in items:
+            if isinstance(value, tuple):
+                writer.add_raw(name, *value)
+            else:
+                writer.add(name, value, dtype_for(name))
     return Path(path).stat().st_size
 
 

@@ -171,13 +171,8 @@ def _reshard_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
     N, sizes = _checkpoint_shards(ckpt)
     M = int(spec.params["target_world_size"])
     optim_bytes = sum(sizes)
-    stream = bool(spec.params.get("stream", True))
-    if stream:
-        loads = N + M - math.gcd(N, M) + 1
-        bytes_read = loads * (optim_bytes // max(1, N))
-    else:
-        loads = N
-        bytes_read = optim_bytes
+    loads = N + M - math.gcd(N, M) + 1
+    bytes_read = loads * (optim_bytes // max(1, N))
     weight = _weight_nbytes(ckpt)
     bytes_written = optim_bytes + weight
     seconds = storage.read_time(

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..dist.zero import read_shard_metadata
 from ..io.layout import CheckpointPaths
 from ..io.storage import BlobStore, group_key
 from ..util.errors import ConfigError
@@ -125,12 +126,10 @@ class Job:
 def _shard_group_keys(ckpt: CheckpointPaths) -> list[str]:
     """Content keys of every shard group in a checkpoint (cheap pass).
 
-    Reads only headers and scalars — no arrays — via the merge engine's
+    Reads only headers and scalars — no arrays — via the shared
     selective metadata read.  Checkpoints whose shards predate the
     per-group CRC headers yield no keys (they simply don't dedup).
     """
-    from ..core.optimizer_merge import read_shard_metadata  # lazy: layering
-
     manifest = ckpt.read_manifest()
     world_size = int(manifest.get("world_size", 0))
     if world_size < 1:
@@ -190,12 +189,10 @@ def _run_merge(job: Job, store: BlobStore | None) -> dict[str, Any]:
         recipe = parse_recipe(dict(params["recipe_doc"]))
     # The service's thread pool is the concurrency unit (sized by
     # worker_budget); inside a job the engine stays thread-based so the
-    # shared group cache remains visible.  Streaming is the default —
-    # it is the path the cross-request cache plugs into.
+    # shared group cache remains visible.
     options = dataclasses.replace(
         recipe.options,
         workers=int(params.get("workers", 1)),
-        stream=bool(params.get("stream", True)),
         cache_mode=str(params.get("cache_mode", recipe.options.cache_mode)),
     )
     recipe = dataclasses.replace(recipe, options=options)
@@ -230,7 +227,6 @@ def _run_reshard(job: Job, store: BlobStore | None) -> dict[str, Any]:
         params["checkpoint"],
         params["output"],
         int(params["target_world_size"]),
-        stream=bool(params.get("stream", True)),
         workers=int(params.get("workers", 1)),
     )
     job.timeline.record(

@@ -4,7 +4,7 @@ One :class:`MergeService` accepts concurrent connections on a unix
 socket (default) and/or a TCP port, validates and admits jobs, queues
 them by priority, and runs them on a worker pool — a
 ``ThreadPoolExecutor`` sized by the same
-:func:`~repro.core.optimizer_merge.worker_budget` policy the engines
+:func:`~repro.dist.zero.worker_budget` policy the engines
 use, so total service concurrency is bounded exactly like a one-shot
 run with ``--workers``.  Inside a job the engines stay thread-based,
 which keeps the cross-request :class:`~repro.io.storage.GroupCache`
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..dist.zero import worker_budget
 from ..io.storage import BlobStore, GroupCache, StorageCostModel
 from ..util.errors import ConfigError, ReproError
 from ..util.logging import get_logger
@@ -82,8 +83,6 @@ class MergeService:
     """The asyncio daemon behind ``llmtailor serve``."""
 
     def __init__(self, config: ServeConfig) -> None:
-        from ..core.optimizer_merge import worker_budget
-
         self.config = config
         self.queue = JobQueue()
         self.admission = AdmissionController(

@@ -28,6 +28,19 @@ class CheckpointFormatError(CheckpointError):
     """A serialized container (tensorfile / blobfile) failed validation."""
 
 
+class GroupCRCError(CheckpointFormatError):
+    """A shard group's arrays disagree with its header ``crc32``.
+
+    Carries the shard ``path`` and the ``group`` index so the merge and
+    reshard engines can re-raise it in their own terms.
+    """
+
+    def __init__(self, path: object, group: int) -> None:
+        self.path = path
+        self.group = group
+        super().__init__(f"{path}: CRC mismatch for group {group}")
+
+
 class MergeError(ReproError):
     """Checkpoint merging could not produce a consistent result."""
 

@@ -30,6 +30,32 @@ def parity_trail(tmp_path):
     return trainer
 
 
+def test_default_merge_rejects_tampered_group(parity_trail, tmp_path):
+    """A group tampered behind a valid container CRC fails the default merge.
+
+    Rewriting a source shard with one modified ``fp32_flat_groups`` entry
+    but its original group header leaves the container CRC valid and the
+    group ``crc32`` stale.  The library and the CLI, with no options,
+    must both refuse to merge it.
+    """
+    from repro.core.groups import groups_for_slot
+    from repro.io import read_blob, write_blob
+
+    root = parity_trail.storage.root
+    coverage, config = latest_slot_coverage(root, failure_step=14)
+    assert coverage["layers.1"] == 8  # the merge takes layers.1 from here
+    shard_path = CheckpointPaths(root / "checkpoint-8").shard(0)
+    doc = read_blob(shard_path)
+    g = groups_for_slot(config, "layers.1")[0]
+    doc["fp32_flat_groups"][g] = doc["fp32_flat_groups"][g] + 1.0
+    write_blob(shard_path, doc)  # container CRC valid again
+
+    with pytest.raises(MergeError, match="CRC mismatch for group"):
+        LLMTailor.from_checkpoints(root, 14).merge(output=tmp_path / "lib")
+    with pytest.raises(MergeError, match="CRC mismatch for group"):
+        main(["auto-merge", str(root), "--failure-step", "14", "-o", str(tmp_path / "cli")])
+
+
 class TestAutoRecipe:
     def test_coverage_prefers_latest(self, parity_trail):
         coverage, config = latest_slot_coverage(parity_trail.storage.root, failure_step=14)
@@ -113,34 +139,42 @@ class TestCLI:
         rc = main(["merge", "-r", str(recipe_path), "-o", str(tmp_path / "m")])
         assert rc == 0
 
-    def test_merge_command_stream_flags_match_serial(self, parity_trail, tmp_path, capsys):
-        """`merge --stream --workers` emits the identical checkpoint."""
+    def test_merge_command_overrides_match_default(self, parity_trail, tmp_path, capsys):
+        """`merge --workers --cache-mode` emits the identical checkpoint."""
         recipe = recipe_from_run(parity_trail.storage.root, failure_step=14)
         recipe_path = tmp_path / "recipe.yaml"
         recipe.save(recipe_path)
         assert main(["merge", "-r", str(recipe_path), "-o", str(tmp_path / "s")]) == 0
         assert main([
             "merge", "-r", str(recipe_path), "-o", str(tmp_path / "t"),
-            "--stream", "--workers", "4", "--cache-mode", "per-checkpoint",
+            "--workers", "4", "--cache-mode", "none",
         ]) == 0
-        serial, streamed = CheckpointPaths(tmp_path / "s"), CheckpointPaths(tmp_path / "t")
-        assert serial.weights.read_bytes() == streamed.weights.read_bytes()
+        default, fanned = CheckpointPaths(tmp_path / "s"), CheckpointPaths(tmp_path / "t")
+        assert default.weights.read_bytes() == fanned.weights.read_bytes()
         for rank in range(2):
-            assert serial.shard(rank).read_bytes() == streamed.shard(rank).read_bytes()
+            assert default.shard(rank).read_bytes() == fanned.shard(rank).read_bytes()
 
-    def test_auto_merge_stream_flag(self, parity_trail, tmp_path, capsys):
-        out_dir = str(tmp_path / "cli-streamed")
+    def test_auto_merge_workers_flag(self, parity_trail, tmp_path, capsys):
+        out_dir = str(tmp_path / "cli-fanned")
         rc = main([
             "auto-merge", str(parity_trail.storage.root),
-            "--failure-step", "14", "-o", out_dir, "--stream", "--workers", "2",
+            "--failure-step", "14", "-o", out_dir, "--workers", "2",
         ])
         assert rc == 0
         assert CheckpointPaths(out_dir).read_manifest()["complete"]
 
+    def test_stream_flag_removed(self, parity_trail, tmp_path):
+        """Every merge streams; the engine selector flags are gone."""
+        with pytest.raises(SystemExit):
+            main([
+                "auto-merge", str(parity_trail.storage.root),
+                "--failure-step", "14", "-o", str(tmp_path / "x"), "--stream",
+            ])
+
     def test_plan_merge_estimate(self, capsys):
         rc = main([
             "plan", "llama3.1-8b", "parity", "--interval", "100", "--steps", "400",
-            "--merge-checkpoints", "2", "--stream", "--workers", "4",
+            "--merge-checkpoints", "2", "--workers", "4",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -1,11 +1,12 @@
-"""The streaming merge engine: bitwise equality with the serial path.
+"""The streaming merge engine: bitwise equality with the serial oracle.
 
-The contract under test (ISSUE 2 tentpole): with ``MergeOptions(stream=
-True)`` the merge consumes shards group-by-group through selective blob
-reads and pipes weight tensors through a streaming writer, yet every
-output byte — weights file and each rank's optimizer shard — is
-identical to the serial engine at any world size, for every checkpoint
-strategy's slot layout, with peak memory bounded below the serial path.
+The merge consumes shards group-by-group through selective blob reads
+and pipes weight tensors through a streaming writer, yet every output
+byte — weights file and each rank's optimizer shard — is identical to
+the serial oracle (``tests/oracles.py``: whole-blob loads, a fully
+materialized weight dict) at any world size, for every checkpoint
+strategy's slot layout and both load schedules, with peak memory bounded
+below the oracle's.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.strategies import build_strategy
 from repro.util.errors import CheckpointFormatError
 
 from conftest import make_engine, train_steps
+from oracles import oracle_merge
 
 WORLD_SIZES = [1, 2, 4]
 STRATEGIES = ["parity", "magnitude", "filtered", "full"]
@@ -45,29 +47,31 @@ def _build_trail(tmp_path, config, strategy_name: str, world_size: int):
     return storage
 
 
-def _merge(storage, output, **options):
-    recipe = recipe_from_run(storage.root)
-    recipe.options = MergeOptions(verify=False, **options)
-    return LLMTailor(recipe).merge(output=output)
-
-
-@pytest.mark.parametrize("world_size", WORLD_SIZES)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_stream_bitwise_equals_serial(tmp_path, untied_config, strategy, world_size):
-    """Streamed output files are byte-for-byte the serial ones."""
-    storage = _build_trail(tmp_path, untied_config, strategy, world_size)
-    serial = _merge(storage, tmp_path / "serial")
-    streamed = _merge(storage, tmp_path / "streamed", stream=True, workers=3)
-
+def _assert_matches_oracle(serial, streamed, world_size: int, label: str) -> None:
     assert serial.output.weights.read_bytes() == streamed.output.weights.read_bytes()
     for rank in range(world_size):
         assert (
             serial.output.shard(rank).read_bytes()
             == streamed.output.shard(rank).read_bytes()
-        ), f"rank {rank} shard differs ({strategy}, ws={world_size})"
-    # Identical load accounting: the engines follow the same schedule.
+        ), f"rank {rank} shard differs ({label})"
+    # Identical load accounting: engine and oracle follow the same schedule.
     assert serial.optimizer_files_loaded == streamed.optimizer_files_loaded
     assert serial.optimizer_bytes_loaded == streamed.optimizer_bytes_loaded
+
+
+@pytest.mark.parametrize("world_size", WORLD_SIZES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stream_bitwise_equals_serial(tmp_path, untied_config, strategy, world_size):
+    """Streamed output files are byte-for-byte the serial oracle's."""
+    storage = _build_trail(tmp_path, untied_config, strategy, world_size)
+    recipe = recipe_from_run(storage.root)
+    for cache_mode in ("per-checkpoint", "none"):
+        recipe.options = MergeOptions(verify=False, cache_mode=cache_mode, workers=3)
+        serial = oracle_merge(recipe, tmp_path / f"serial-{cache_mode}")
+        streamed = LLMTailor(recipe).merge(output=tmp_path / f"streamed-{cache_mode}")
+        _assert_matches_oracle(
+            serial, streamed, world_size, f"{strategy}, ws={world_size}, {cache_mode}"
+        )
 
 
 @pytest.mark.parametrize("cache_mode", ["per-checkpoint", "none"])
@@ -81,15 +85,9 @@ def test_stream_interleaved_matches_serial(checkpoint_run, tmp_path, cache_mode)
         assignments={s: storage.root / "checkpoint-100" for s in odd},
         options=MergeOptions(cache_mode=cache_mode, verify=False),
     )
-    serial = LLMTailor(recipe).merge(output=tmp_path / "a")
-    recipe.options = MergeOptions(cache_mode=cache_mode, verify=False, stream=True)
+    serial = oracle_merge(recipe, tmp_path / "a")
     streamed = LLMTailor(recipe).merge(output=tmp_path / "b")
-    for rank in range(2):
-        assert (
-            serial.output.shard(rank).read_bytes()
-            == streamed.output.shard(rank).read_bytes()
-        )
-    assert serial.optimizer_files_loaded == streamed.optimizer_files_loaded
+    _assert_matches_oracle(serial, streamed, 2, cache_mode)
 
 
 def _odd_parity_recipe(storage, config, **options):
@@ -102,14 +100,14 @@ def _odd_parity_recipe(storage, config, **options):
     )
 
 
-@pytest.mark.parametrize("stream", [False, True])
-def test_corrupt_shard_bytes_rejected_by_both_engines(checkpoint_run, tmp_path, stream):
-    """Bit-rot in the shard file must fail either engine.
+@pytest.mark.parametrize("oracle", [False, True])
+def test_corrupt_shard_bytes_rejected_by_both_engines(checkpoint_run, tmp_path, oracle):
+    """Bit-rot in the shard file must fail the engine and the oracle.
 
-    The serial path relies on the whole-payload blob CRC; the streaming
-    path verifies each materialized group against its header ``crc32``
-    and surfaces decompressor errors, so corruption in copied data can
-    never flow silently into the merged checkpoint.
+    The oracle relies on the whole-payload blob CRC; the engine verifies
+    each materialized group against its header ``crc32`` and surfaces
+    decompressor errors, so corruption in copied data can never flow
+    silently into the merged checkpoint.
     """
     from repro.util.errors import MergeError
 
@@ -118,35 +116,12 @@ def test_corrupt_shard_bytes_rejected_by_both_engines(checkpoint_run, tmp_path, 
     raw = bytearray(shard_path.read_bytes())
     raw[-3] ^= 0xFF  # tail byte: inside the last group's state arrays
     shard_path.write_bytes(bytes(raw))
-    recipe = _odd_parity_recipe(storage, config, stream=stream)
+    recipe = _odd_parity_recipe(storage, config)
     with pytest.raises((CheckpointFormatError, MergeError)):
-        LLMTailor(recipe).merge(output=tmp_path / "m")
-
-
-def test_stream_detects_tampered_group_serial_cannot(checkpoint_run, tmp_path):
-    """Per-group CRCs catch tampering that re-wrote a valid container.
-
-    Rewriting a shard with a modified fp32 array but the original group
-    header produces a self-consistent blob (payload CRC matches), which
-    the serial whole-file check cannot flag — but the streaming engine's
-    per-group verification does.
-    """
-    from repro.io import read_blob, write_blob
-    from repro.util.errors import MergeError
-
-    storage, _, _, config, _ = checkpoint_run
-    shard_path = CheckpointPaths(storage.root / "checkpoint-100").shard(0)
-    doc = read_blob(shard_path)
-    tampered = next(iter(doc["fp32_flat_groups"]))
-    doc["fp32_flat_groups"][tampered] = doc["fp32_flat_groups"][tampered] + 1.0
-    write_blob(shard_path, doc)  # container CRC now valid again
-
-    serial = LLMTailor(_odd_parity_recipe(storage, config)).merge(output=tmp_path / "s")
-    assert serial is not None  # serial cannot see the stale group crc32
-    with pytest.raises(MergeError, match="CRC mismatch for group"):
-        LLMTailor(_odd_parity_recipe(storage, config, stream=True)).merge(
-            output=tmp_path / "t"
-        )
+        if oracle:
+            oracle_merge(recipe, tmp_path / "m")
+        else:
+            LLMTailor(recipe).merge(output=tmp_path / "m")
 
 
 def test_streamed_output_verifies_and_resumes(checkpoint_run, tmp_path):
@@ -157,7 +132,7 @@ def test_streamed_output_verifies_and_resumes(checkpoint_run, tmp_path):
     recipe = MergeRecipe(
         base_checkpoint=storage.root / "checkpoint-200",
         assignments={s: storage.root / "checkpoint-100" for s in odd},
-        options=MergeOptions(stream=True, workers=2),  # verify=True default
+        options=MergeOptions(workers=2),  # verify=True default
     )
     result = LLMTailor(recipe).merge(output=tmp_path / "m")
     assert result.verify_report is not None and result.verify_report.ok
@@ -167,10 +142,10 @@ def test_stream_peak_memory_bounded(tmp_path, untied_config):
     """Streaming must allocate less at peak than full-blob caching.
 
     The scenario where caching hurts: slots spread round-robin over
-    several *complete* checkpoints.  The serial per-checkpoint path
-    materializes every distinct source shard in full; the streaming
-    path only ever holds each source's *selected* groups, which across
-    all sources sum to one shard.
+    several *complete* checkpoints.  The serial oracle's per-checkpoint
+    cache materializes every distinct source shard in full; the engine
+    only ever holds each source's *selected* groups, which across all
+    sources sum to one shard.
     """
     config = untied_config
     model, engine = make_engine(config, world_size=2)
@@ -191,18 +166,19 @@ def test_stream_peak_memory_bounded(tmp_path, untied_config):
         },
     )
 
-    def peak(tag: str, **options) -> int:
-        recipe.options = MergeOptions(verify=False, **options)
+    recipe.options = MergeOptions(verify=False)
+
+    def peak(merge) -> int:
         tracemalloc.start()
         try:
-            LLMTailor(recipe).merge(output=tmp_path / f"mem-{tag}")
+            merge()
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak_bytes
 
-    serial_peak = peak("serial")
-    stream_peak = peak("stream", stream=True)
+    serial_peak = peak(lambda: oracle_merge(recipe, tmp_path / "mem-serial"))
+    stream_peak = peak(lambda: LLMTailor(recipe).merge(output=tmp_path / "mem-stream"))
     assert stream_peak < serial_peak, (
         f"streaming peak {stream_peak} should undercut serial {serial_peak}"
     )

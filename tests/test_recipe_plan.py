@@ -54,6 +54,13 @@ class TestParseRecipe:
         recipe = parse_recipe(doc)
         assert recipe.options == MergeOptions(workers=4, cache_mode="none", verify=False)
 
+    def test_stream_true_is_accepted_as_no_op(self):
+        """Recipes from before the serial engine's removal still parse."""
+        doc = self._minimal() | {"options": {"stream": True}}
+        assert parse_recipe(doc).options == MergeOptions()
+        with pytest.raises(RecipeError, match="serial merge engine was removed"):
+            parse_recipe(self._minimal() | {"options": {"stream": False}})
+
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -69,6 +76,7 @@ class TestParseRecipe:
             {"options": {"workers": 0}},
             {"options": {"cache_mode": "sometimes"}},
             {"options": {"turbo": True}},
+            {"options": {"stream": False}},
         ],
     )
     def test_invalid_documents_rejected(self, mutation):
@@ -105,6 +113,7 @@ class TestParseRecipe:
         assert loaded.base_checkpoint == recipe.base_checkpoint
         assert loaded.assignments == recipe.assignments
         assert loaded.options.cache_mode == "none"
+        assert "stream" not in path.read_text()
 
     def test_missing_recipe_file(self, tmp_path):
         with pytest.raises(RecipeError, match="not found"):
@@ -192,3 +201,4 @@ class TestResolvePlan:
         plan = resolve_plan(parse_recipe(doc), output=tmp_path / "out")
         spec = plan.to_worker_spec()
         assert pickle.loads(pickle.dumps(spec)) == spec
+        assert "stream" not in spec and "stream" not in plan.describe()["options"]

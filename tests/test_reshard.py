@@ -8,8 +8,8 @@ size N into a bitwise-valid checkpoint at world size M, for any N, M ≥ 1:
   byte, for every strategy's trail merged into a complete checkpoint;
 * round trips are lossless — N→M→N reproduces the original shard files
   exactly;
-* the streaming engine equals the materializing reference path bitwise
-  while allocating strictly less at peak;
+* the streaming engine equals the materializing oracle
+  (``tests/oracles.py``) bitwise while allocating strictly less at peak;
 * corruption in any source group is rejected via its per-group CRC.
 """
 
@@ -30,6 +30,7 @@ from repro.strategies import build_strategy, plan_reshard_cost
 from repro.util.errors import CheckpointError, CheckpointFormatError, ReshardError
 
 from conftest import make_engine, train_steps
+from oracles import oracle_reshard
 
 WORLD_SIZES = [1, 2, 3, 4]
 STRATEGIES = ["parity", "magnitude", "filtered", "full"]
@@ -124,13 +125,13 @@ def test_roundtrip_reproduces_original_shards(ckpt_factory, tmp_path, source, ta
 
 @pytest.mark.parametrize("target", [1, 3])
 def test_stream_equals_materializing_engine(ckpt_factory, tmp_path, target):
-    """Both engines must emit identical bytes at any target world size."""
+    """Engine and materializing oracle emit identical bytes at any target."""
     src = ckpt_factory("parity", 2)
-    reshard_checkpoint(src, tmp_path / "s", target, stream=True, workers=3)
-    reshard_checkpoint(src, tmp_path / "m", target, stream=False)
-    assert _shards_bytes(CheckpointPaths(tmp_path / "s"), target) == _shards_bytes(
-        CheckpointPaths(tmp_path / "m"), target
-    )
+    reshard_checkpoint(src, tmp_path / "s", target, workers=3)
+    oracle = oracle_reshard(src, tmp_path / "m", target)
+    assert _shards_bytes(CheckpointPaths(tmp_path / "s"), target) == [
+        path.read_bytes() for path in oracle
+    ]
 
 
 def test_resharded_checkpoint_verifies(ckpt_factory, tmp_path):
@@ -150,23 +151,23 @@ def test_resharded_checkpoint_verifies(ckpt_factory, tmp_path):
 def test_stream_peak_memory_below_full_materialization(ckpt_factory, tmp_path):
     """Streaming must allocate strictly less at peak than materializing.
 
-    The materializing path holds every source payload plus the gathered
-    full master; the streaming path only ever holds one target shard
+    The materializing oracle holds every source payload plus the
+    gathered full master; the engine only ever holds one target shard
     plus one source shard's selected groups.
     """
     src = ckpt_factory("full", 4)
 
-    def peak(tag: str, stream: bool) -> int:
+    def peak(reshard) -> int:
         tracemalloc.start()
         try:
-            reshard_checkpoint(src, tmp_path / f"mem-{tag}", 2, stream=stream)
+            reshard()
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak_bytes
 
-    materialize_peak = peak("mat", stream=False)
-    stream_peak = peak("stream", stream=True)
+    materialize_peak = peak(lambda: oracle_reshard(src, tmp_path / "mem-mat", 2))
+    stream_peak = peak(lambda: reshard_checkpoint(src, tmp_path / "mem-stream", 2))
     assert stream_peak < materialize_peak, (
         f"streaming peak {stream_peak} should undercut materializing "
         f"{materialize_peak}"
@@ -191,7 +192,7 @@ def test_corrupted_group_rejected(ckpt_factory, tmp_path):
 
 
 def test_bit_rot_rejected(ckpt_factory, tmp_path):
-    """Raw bit flips fail the container checks on either engine."""
+    """Raw bit flips fail the container checks in the engine and the oracle."""
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim2", 2)
     shard_path = CheckpointPaths(copy.output).shard(1)
@@ -199,9 +200,9 @@ def test_bit_rot_rejected(ckpt_factory, tmp_path):
     raw[-3] ^= 0xFF
     shard_path.write_bytes(bytes(raw))
     with pytest.raises((CheckpointFormatError, ReshardError)):
-        reshard_checkpoint(copy.output, tmp_path / "out-a", 1, stream=True)
+        reshard_checkpoint(copy.output, tmp_path / "out-a", 1)
     with pytest.raises((CheckpointFormatError, ReshardError)):
-        reshard_checkpoint(copy.output, tmp_path / "out-b", 1, stream=False)
+        oracle_reshard(copy.output, tmp_path / "out-b", 1)
 
 
 def test_step_disagreement_rejected(ckpt_factory, tmp_path):
@@ -214,7 +215,7 @@ def test_step_disagreement_rejected(ckpt_factory, tmp_path):
     doc["state"][g]["step"] = int(doc["state"][g]["step"]) + 7
     write_blob(shard_path, doc)
     with pytest.raises(ReshardError, match="step"):
-        reshard_checkpoint(copy.output, tmp_path / "out", 1, stream=True)
+        reshard_checkpoint(copy.output, tmp_path / "out", 1)
 
 
 def test_scheduler_staleness_does_not_break_roundtrip(tmp_path, untied_config):
@@ -249,7 +250,7 @@ def test_foreign_shard_geometry_rejected_by_both_engines(ckpt_factory, tmp_path)
 
     The header tamper leaves the per-group CRCs valid (they cover only
     the arrays), so this is exactly the case the cross-rank geometry
-    check exists for — on the streaming path too.
+    check exists for — in the engine and the oracle alike.
     """
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim-geom", 2)
@@ -258,9 +259,9 @@ def test_foreign_shard_geometry_rejected_by_both_engines(ckpt_factory, tmp_path)
     doc["groups"][0]["param_names"] = list(doc["groups"][0]["param_names"]) + ["ghost"]
     write_blob(shard_path, doc)
     with pytest.raises(ReshardError, match="geometry differs"):
-        reshard_checkpoint(copy.output, tmp_path / "out-geom-s", 1, stream=True)
+        reshard_checkpoint(copy.output, tmp_path / "out-geom-s", 1)
     with pytest.raises(ReshardError, match="geometry differs"):
-        reshard_checkpoint(copy.output, tmp_path / "out-geom-m", 1, stream=False)
+        oracle_reshard(copy.output, tmp_path / "out-geom-m", 1)
 
 
 def test_aborted_reshard_leaves_no_complete_manifest(ckpt_factory, tmp_path):
@@ -273,11 +274,10 @@ def test_aborted_reshard_leaves_no_complete_manifest(ckpt_factory, tmp_path):
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim-abort", 2)
     CheckpointPaths(copy.output).shard(1).unlink()
-    for stream in (True, False):
-        out = tmp_path / f"out-abort-{stream}"
-        with pytest.raises(ReshardError):
-            reshard_checkpoint(copy.output, out, 3, stream=stream)
-        assert not CheckpointPaths(out).manifest.exists()
+    out = tmp_path / "out-abort"
+    with pytest.raises(ReshardError):
+        reshard_checkpoint(copy.output, out, 3)
+    assert not CheckpointPaths(out).manifest.exists()
 
 
 def test_partial_checkpoint_rejected(tmp_path, untied_config):
@@ -445,7 +445,7 @@ def test_cli_reshard_roundtrip(ckpt_factory, tmp_path, capsys):
     ]) == 0
     assert main([
         "reshard", str(tmp_path / "m3"), "-o", str(tmp_path / "back"),
-        "-w", "2", "--no-stream",
+        "-w", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert "world size           : 2 -> 3" in out
@@ -456,29 +456,25 @@ def test_plan_reshard_cost_model():
     import math
 
     config = get_config("llama3.1-8b")
-    stream = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=1, stream=True
+    plan = plan_reshard_cost(
+        config, source_world_size=8, target_world_size=3, workers=1
     )
-    mat = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=1, stream=False
-    )
-    assert stream.loads == 8 + 3 - math.gcd(8, 3) + 1  # + metadata pass
-    assert mat.loads == 8
-    # The memory guarantee is the whole point of the streaming engine.
-    assert stream.peak_bytes < mat.peak_bytes
-    assert stream.bytes_written == mat.bytes_written
-    for plan in (stream, mat):
-        assert plan.seconds > 0
-        assert plan.describe()["model"] == config.name
+    assert plan.loads == 8 + 3 - math.gcd(8, 3) + 1  # + metadata pass
+    # The memory guarantee is the whole point of the streaming engine:
+    # one target shard plus one source shard, never the whole state.
+    assert plan.peak_bytes < plan.bytes_written
+    assert plan.seconds > 0
+    assert plan.describe()["model"] == config.name
+    assert "stream" not in plan.describe()
     # Peak memory is per concurrent worker: each in-flight target-rank
     # transfer holds its own target shard plus one source shard.
     fanned = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=2, stream=True
+        config, source_world_size=8, target_world_size=3, workers=2
     )
-    assert fanned.peak_bytes == 2 * stream.peak_bytes
+    assert fanned.peak_bytes == 2 * plan.peak_bytes
     assert plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=16, stream=True
-    ).peak_bytes == 3 * stream.peak_bytes  # clamped to M transfers
+        config, source_world_size=8, target_world_size=3, workers=16
+    ).peak_bytes == 3 * plan.peak_bytes  # clamped to M transfers
 
 
 def test_cli_plan_reshard_estimate(capsys):
@@ -486,18 +482,16 @@ def test_cli_plan_reshard_estimate(capsys):
 
     assert main([
         "plan", "llama3.1-8b", "full", "--world-size", "8",
-        "--reshard-to", "2", "--stream", "--workers", "4",
+        "--reshard-to", "2", "--workers", "4",
     ]) == 0
     out = capsys.readouterr().out
-    assert "reshard estimate (8 -> 2 ranks, stream, workers=4)" in out
+    assert "reshard estimate (8 -> 2 ranks, workers=4)" in out
     assert "peak memory" in out
 
-    # The estimate's default engine must match `llmtailor reshard`'s
-    # (stream), while the merge estimate stays serial by default.
     assert main([
         "plan", "llama3.1-8b", "full", "--world-size", "8",
         "--reshard-to", "2", "--merge-checkpoints", "2",
     ]) == 0
     out = capsys.readouterr().out
-    assert "reshard estimate (8 -> 2 ranks, stream, workers=1)" in out
-    assert "merge estimate (2 ckpts, per-checkpoint, serial, workers=1)" in out
+    assert "reshard estimate (8 -> 2 ranks, workers=1)" in out
+    assert "merge estimate (2 ckpts, per-checkpoint, workers=1)" in out

@@ -117,6 +117,11 @@ class TestProtocol:
          "params": {"model": "m", "strategy": "full"}},
         {"tenant": "a", "kind": "plan", "surprise": 1,
          "params": {"model": "m", "strategy": "full"}},
+        {"tenant": "a", "kind": "merge", "params": {
+            "recipe": "r.yaml", "stream": True}},  # engine selector removed
+        {"tenant": "a", "kind": "reshard", "params": {
+            "checkpoint": "c", "output": "o", "target_world_size": 2,
+            "stream": False}},
     ])
     def test_parse_rejects_malformed(self, doc):
         with pytest.raises(ConfigError):
